@@ -17,7 +17,9 @@ import math
 import random
 import re
 from collections import Counter
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from tcp_lab.model import (
     Approach,
@@ -66,8 +68,10 @@ class SmoothedSeries:
         self._values: dict[TestCaseId, float] = {}
 
     def update(self, case: TestCaseId, observation: float) -> None:
-        self._values[case] = exp_smooth_step(
-            self._values.get(case, 0.0), self.alpha, observation
+        # exp_smooth_step without its alpha check, done once in __init__
+        alpha = self.alpha
+        self._values[case] = alpha * observation + (1 - alpha) * self._values.get(
+            case, 0.0
         )
 
     def value(self, case: TestCaseId) -> float:
@@ -287,39 +291,98 @@ def safe_distance(u: CodeVector, v: CodeVector, metric: DistanceMetric) -> float
         return 0.0
 
 
-class SourceVectors:
-    """Lazy tokenized vectors for a project's case sources.
+# Token counts are integers, so every distance below is computed exactly in
+# float64 (whatever order BLAS sums in) while squared norms stay under this.
+_EXACT_SQUARED_NORM = 2**51
 
-    Cases without a source text get the empty vector.
+
+class SourceVectors:
+    """Tokenized vectors for a project's case sources.
+
+    On first use every source is tokenized once into one integer token-count
+    matrix with a row per case, kept for all later cycles. Cases without a
+    source text get the empty vector.
     """
 
     def __init__(self, sources: Mapping[TestCaseId, str] | None):
         self._sources = sources or {}
-        self._cache: dict[TestCaseId, CodeVector] = {}
+        self._rows: dict[TestCaseId, int] = {}
+        self._counts: np.ndarray | None = None
 
-    def vector(self, case: TestCaseId) -> CodeVector:
-        if case not in self._cache:
-            self._cache[case] = tokenize(self._sources.get(case, ""))
-        return self._cache[case]
+    def _matrix(self) -> np.ndarray:
+        if self._counts is None:
+            vectors = [tokenize(text) for text in self._sources.values()]
+            columns: dict[str, int] = {}
+            for vector in vectors:
+                for token in vector:
+                    columns.setdefault(token, len(columns))
+            # the last row stays zero: the empty vector of source-less cases
+            counts = np.zeros((len(vectors) + 1, len(columns)), dtype=np.int64)
+            for row, (case, vector) in enumerate(zip(self._sources, vectors)):
+                self._rows[case] = row
+                counts[row, [columns[token] for token in vector]] = list(vector.values())
+            if (counts * counts).sum(axis=1).max() >= _EXACT_SQUARED_NORM:
+                raise ValueError("source text too large for exact code distances")
+            self._counts = counts
+        return self._counts
+
+    def distances(
+        self, cases: Sequence[TestCaseId], metric: DistanceMetric
+    ) -> np.ndarray:
+        """Pairwise distance keys between the cases' vectors.
+
+        Entry [i, j] orders pairs exactly as ``safe_distance`` of cases i and
+        j does: the Manhattan distance, the *squared* Euclidean distance, or
+        the cosine distance computed in ``vector_distance``'s operation order.
+        """
+        matrix = self._matrix()
+        counts = matrix[[self._rows.get(case, len(matrix) - 1) for case in cases]]
+        counts = counts[:, counts.any(axis=0)].astype(np.float64)
+        metric = DistanceMetric(metric)
+        if metric is DistanceMetric.MANHATTAN:
+            return _manhattan(counts)
+        dot = counts @ counts.T
+        squared = np.diag(dot).copy()
+        if metric is DistanceMetric.EUCLIDEAN:
+            return squared[:, None] + squared[None, :] - 2 * dot
+        norm = np.sqrt(squared)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            keys = np.maximum(0.0, 1.0 - dot / (norm[:, None] * norm[None, :]))
+        is_empty = squared == 0
+        keys[is_empty[:, None] != is_empty[None, :]] = 1.0
+        keys[is_empty[:, None] & is_empty[None, :]] = 0.0
+        return keys
+
+
+def _manhattan(counts: np.ndarray) -> np.ndarray:
+    """Pairwise L1 distances between rows of a non-negative integer matrix.
+
+    |a - b| = a + b - 2 min(a, b), and the sum of min(a, b) over tokens is
+    the dot product of the rows' indicators 1[count >= t], summed over t.
+    """
+    totals = counts.sum(axis=1)
+    shared = np.zeros((len(counts), len(counts)))
+    threshold = 1
+    while counts.size:
+        at_least = (counts >= threshold).astype(np.float64)
+        shared += at_least @ at_least.T
+        counts = counts[:, (counts > threshold).any(axis=0)]
+        threshold += 1
+    return totals[:, None] + totals[None, :] - 2 * shared
 
 
 def farthest_pair_start(
-    suite: Sequence[TestCaseId],
-    distance: Callable[[TestCaseId, TestCaseId], float],
+    suite: Sequence[TestCaseId], distances: np.ndarray
 ) -> TestCaseId:
     """Member of the maximum-distance pair with the lower original position.
 
-    Ties between pairs resolve to the earliest pair in position order.
+    ``distances`` holds the pairwise distance keys over ``suite``. Ties
+    between pairs resolve to the earliest pair in position order.
     """
-    best_distance = -1.0
-    best_start = suite[0]
-    for i in range(len(suite)):
-        for j in range(i + 1, len(suite)):
-            d = distance(suite[i], suite[j])
-            if d > best_distance:
-                best_distance = d
-                best_start = suite[i]
-    return best_start
+    upper_rows, upper_columns = np.triu_indices(len(suite), k=1)
+    if not len(upper_rows):
+        return suite[0]
+    return suite[upper_rows[np.argmax(distances[upper_rows, upper_columns])]]
 
 
 class CodeDistOrder(Approach):
@@ -340,23 +403,16 @@ class CodeDistOrder(Approach):
         self.start = StartPolicy(start)
         self._vectors = SourceVectors(sources)
 
-    def _distance(self, a: TestCaseId, b: TestCaseId) -> float:
-        return safe_distance(self._vectors.vector(a), self._vectors.vector(b), self.metric)
-
     def rank(self, suite: Sequence[TestCaseId]) -> RankedSuite:
+        distances = self._vectors.distances(suite, self.metric)
+        last = 0
         if self.start is StartPolicy.FARTHEST_PAIR:
-            first = farthest_pair_start(suite, self._distance)
-        else:
-            first = suite[0]
-        position = {case: i for i, case in enumerate(suite)}
-        remaining = [case for case in suite if case != first]
-        chain = [first]
-        while remaining:
-            last = chain[-1]
-            best = min(
-                remaining,
-                key=lambda case: (-self._distance(last, case), position[case]),
-            )
-            remaining.remove(best)
-            chain.append(best)
+            last = suite.index(farthest_pair_start(suite, distances))
+        visited = np.zeros(len(suite), dtype=bool)
+        visited[last] = True
+        chain = [suite[last]]
+        for _ in range(len(suite) - 1):
+            last = int(np.argmax(np.where(visited, -1.0, distances[last])))
+            visited[last] = True
+            chain.append(suite[last])
         return RankedSuite(tuple((case,) for case in chain))

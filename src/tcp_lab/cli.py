@@ -38,7 +38,6 @@ from tcp_lab.evaluation import (
     write_outcomes,
 )
 from tcp_lab.model import FlattenPolicy, flatten
-from tcp_lab.report import ReportError, write_report
 
 SEED_ENV_VAR = "TCP_LAB_SEED"
 
@@ -114,6 +113,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    # imported here: report pulls in scipy, which the other commands never use
+    from tcp_lab.report import ReportError, write_report
+
     try:
         written = write_report(args.raw, args.out, fmt=args.format, alpha=args.alpha)
     except (ReportError, OSError, json.JSONDecodeError) as error:

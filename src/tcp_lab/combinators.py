@@ -17,6 +17,8 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from tcp_lab.approaches import (
     DEFAULT_ALPHA,
     BaseOrder,
@@ -31,7 +33,6 @@ from tcp_lab.approaches import (
     SourceVectors,
     StartPolicy,
     farthest_pair_start,
-    safe_distance,
 )
 from tcp_lab.model import (
     Approach,
@@ -152,43 +153,41 @@ def pairwise_preferences(
     rankings: Sequence[RankedSuite],
     weights: Sequence[float],
     suite: Sequence[TestCaseId],
-) -> list[list[float]]:
-    """d[x][y] = total weight of rankings placing x strictly before y."""
+) -> np.ndarray:
+    """d[x][y] = total weight of rankings placing x strictly before y.
+
+    Weights are added in ranking order, so every sum is the same float as
+    when accumulated one preference at a time.
+    """
     index = {case: i for i, case in enumerate(suite)}
     n = len(suite)
-    d = [[0.0] * n for _ in range(n)]
+    d = np.zeros((n, n))
+    level = np.empty(n, dtype=np.intp)
     for ranking, weight in zip(rankings, weights):
         if weight == 0:
             continue
-        above: list[TestCaseId] = []
-        for group in ranking.groups:
-            for earlier in above:
-                for case in group:
-                    d[index[earlier]][index[case]] += weight
-            above.extend(group)
+        for g, group in enumerate(ranking.groups):
+            for case in group:
+                level[index[case]] = g
+        d[level[:, None] < level[None, :]] += weight
     return d
 
 
-def strongest_paths(d: Sequence[Sequence[float]]) -> list[list[float]]:
+def strongest_paths(d: Sequence[Sequence[float]]) -> np.ndarray:
     """Widest-path strengths: maximize the minimum edge along any path.
 
-    Floyd-Warshall-style relaxation over the preference matrix.
+    Floyd-Warshall-style relaxation over the preference matrix, one array
+    update per pivot k. Row k and column k cannot change during pivot k, so
+    the update equals the element-by-element loop. The diagonal is never
+    read and is returned as given.
     """
-    n = len(d)
-    p = [list(row) for row in d]
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            pji = p[j][i]
-            row_i = p[i]
-            row_j = p[j]
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                strength = pji if pji < row_i[k] else row_i[k]
-                if strength > row_j[k]:
-                    row_j[k] = strength
+    p = np.array(d, dtype=np.float64).reshape(len(d), len(d))
+    diagonal = p.diagonal().copy()
+    through = np.empty_like(p)
+    for k in range(len(p)):
+        np.minimum(p[:, k : k + 1], p[k : k + 1, :], out=through)
+        np.maximum(p, through, out=p)
+    np.fill_diagonal(p, diagonal)
     return p
 
 
@@ -216,14 +215,9 @@ def schulze_mix(
         raise SuiteTooLargeError(
             f"suite of {n} cases exceeds the Schulze cap of {max_suite}"
         )
-    index = {case: i for i, case in enumerate(suite)}
     p = strongest_paths(pairwise_preferences(rankings, weights, suite))
-    beats = [0] * n
-    for x in range(n):
-        for y in range(n):
-            if x != y and p[x][y] > p[y][x]:
-                beats[x] += 1
-    return ranked_from_scores(suite, lambda case: beats[index[case]], descending=True)
+    beats = dict(zip(suite, (p > p.T).sum(axis=1).tolist()))
+    return ranked_from_scores(suite, beats.__getitem__, descending=True)
 
 
 @dataclass
@@ -265,14 +259,22 @@ def break_ties(primary: RankedSuite, secondary: RankedSuite) -> RankedSuite:
     """
     if set(primary.cases()) != set(secondary.cases()):
         raise QueueMismatchError("primary and secondary rankings cover different suites")
-    groups: list[tuple[TestCaseId, ...]] = []
+    secondary_group: dict[TestCaseId, int] = {}
+    secondary_position: dict[TestCaseId, int] = {}
+    for g, group in enumerate(secondary.groups):
+        for case in group:
+            secondary_group[case] = g
+            secondary_position[case] = len(secondary_position)
+    groups: list[list[TestCaseId]] = []
     for primary_group in primary.groups:
-        members = set(primary_group)
-        for secondary_group in secondary.groups:
-            refined = tuple(case for case in secondary_group if case in members)
-            if refined:
-                groups.append(refined)
-    return RankedSuite(tuple(groups))
+        last_group = None
+        for case in sorted(primary_group, key=secondary_position.__getitem__):
+            if secondary_group[case] == last_group:
+                groups[-1].append(case)
+            else:
+                groups.append([case])
+                last_group = secondary_group[case]
+    return RankedSuite(tuple(tuple(group) for group in groups))
 
 
 def break_ties_codedist(
@@ -288,32 +290,23 @@ def break_ties_codedist(
     farthest-pair start rule restricted to the first group. Distance ties
     resolve to the original order.
     """
-
-    def distance(a: TestCaseId, b: TestCaseId) -> float:
-        return safe_distance(vectors.vector(a), vectors.vector(b), metric)
-
+    cases = primary.cases()
+    distances = vectors.distances(cases, metric)
+    min_dist = np.full(len(cases), np.inf)
     picked: list[TestCaseId] = []
-    min_dist: dict[TestCaseId, float] = {}
-    pending = [list(group) for group in primary.groups]
-
-    def pick(case: TestCaseId, group: list[TestCaseId]) -> None:
-        group.remove(case)
-        picked.append(case)
-        for other_group in pending:
-            for candidate in other_group:
-                d = distance(candidate, case)
-                if candidate not in min_dist or d < min_dist[candidate]:
-                    min_dist[candidate] = d
-
-    for group in pending:
-        if not picked and group:
-            pick(farthest_pair_start(list(group), distance), group)
-        while group:
-            best_index = max(
-                range(len(group)),
-                key=lambda i: (min_dist[group[i]], -i),
-            )
-            pick(group[best_index], group)
+    start = 0
+    for group in primary.groups:
+        members = slice(start, start + len(group))
+        start += len(group)
+        pending = np.ones(len(group), dtype=bool)
+        for _ in group:
+            if picked:
+                i = int(np.argmax(np.where(pending, min_dist[members], -1.0)))
+            else:
+                i = group.index(farthest_pair_start(group, distances[members, members]))
+            pending[i] = False
+            picked.append(group[i])
+            np.minimum(min_dist, distances[members.start + i], out=min_dist)
     return RankedSuite(tuple((case,) for case in picked))
 
 

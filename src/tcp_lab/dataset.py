@@ -130,7 +130,7 @@ def _parse_duration(token: str) -> float | None:
         value = float(token)
     except ValueError:
         return None
-    if math.isnan(value):
+    if not math.isfinite(value):
         return None
     return value
 
@@ -154,7 +154,8 @@ def ingest(
     """Parse delimiter-separated execution records into a project history.
 
     ``source`` is a data file or a directory of them (read in name order).
-    Rows whose duration or verdict cannot be interpreted are skipped and
+    Rows whose duration or verdict cannot be interpreted (including
+    non-finite durations and build times) are skipped and
     counted in ``rejected_rows``; structurally invalid rows (bad cycle
     ordinal, empty test name, negative duration, duplicate case within a
     cycle) abort with PARSE_ERROR naming the offending row.

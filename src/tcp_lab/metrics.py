@@ -15,6 +15,7 @@ aggregation by callers.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -159,6 +160,9 @@ def apfd_c_bounds(cycle: CycleRecord) -> tuple[float, float]:
 
 def _rectify(value: float, bounds: tuple[float, float]) -> float:
     low, high = bounds
+    if not (math.isfinite(value) and math.isfinite(low) and math.isfinite(high)):
+        # a NaN would otherwise pass the bounds check and clamp to 0 or 1
+        raise ValueError(f"cannot rectify {value} between {low} and {high}: not finite")
     if high - low < DEGENERATE_EPSILON:
         raise DegenerateBoundsError("metric bounds coincide for this cycle")
     rectified = (value - low) / (high - low)

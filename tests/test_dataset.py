@@ -143,6 +143,23 @@ class TestCanonicalRoundTrip:
         assert again.cycles[0].build_time is None
         assert again.cycles[1].build_time == 12.25
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "Infinity"])
+    @pytest.mark.parametrize("column", ["duration", "build_time"])
+    def test_non_finite_value_is_parse_error(self, tmp_path, token, column):
+        bad_row = {
+            "duration": f"0,j,c,60.0,1,b,{token},pass\n",
+            "build_time": f"0,j,c,{token},1,b,1.0,pass\n",
+        }[column]
+        path = tmp_path / "h.csv"
+        path.write_text(
+            "cycle,job_id,commit_id,build_time,position,test_name,duration,verdict\n"
+            "0,j,c,60.0,0,a,1.0,fail\n" + bad_row,
+            encoding="utf-8",
+        )
+        with pytest.raises(DatasetError) as err:
+            read_canonical(path)
+        assert err.value.code == PARSE_ERROR
+
     def test_project_defaults_to_stem(self, tmp_path):
         history = ProjectHistory("anything", (cycle(0, ["a"]),))
         path = tmp_path / "neat-name.csv"
@@ -188,6 +205,14 @@ class TestJoinBuildTimes:
         path = tmp_path / "times.csv"
         path.write_text("job_id,seconds\nj0,10.5\nj1,0\n", encoding="utf-8")
         assert read_build_times(path) == {"j0": 10.5, "j1": 0.0}
+
+    @pytest.mark.parametrize("token", ["inf", "nan"])
+    def test_read_build_times_rejects_non_finite(self, tmp_path, token):
+        path = tmp_path / "times.csv"
+        path.write_text(f"job_id,seconds\nj0,10.5\nj1,{token}\n", encoding="utf-8")
+        with pytest.raises(DatasetError) as err:
+            read_build_times(path)
+        assert err.value.code == PARSE_ERROR
 
 
 class TestAttachSources:

@@ -1,0 +1,181 @@
+"""The numpy kernels give exactly the rankings of the plain-Python loops.
+
+Each property compares a library kernel with its element-by-element oracle
+in ``oracles.py``: the code-distance chain and its farthest-pair start,
+farthest-point tiebreaking, the Schulze preference, path and beats
+computation, and tie refinement by a secondary ranking.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    break_ties_codedist_oracle,
+    break_ties_oracle,
+    code_dist_chain_oracle,
+    pairwise_preferences_oracle,
+    schulze_mix_oracle,
+    strongest_paths_oracle,
+)
+from tcp_lab.approaches import (
+    CodeDistOrder,
+    DistanceMetric,
+    SourceVectors,
+    StartPolicy,
+    safe_distance,
+    tokenize,
+)
+from tcp_lab.combinators import (
+    break_ties,
+    break_ties_codedist,
+    pairwise_preferences,
+    schulze_mix,
+    strongest_paths,
+)
+from tcp_lab.model import RankedSuite
+
+KERNEL_SETTINGS = settings(max_examples=150, deadline=None)
+
+# A few words so that vectors share tokens, repeat, and coincide often.
+WORDS = ("alpha", "beta", "gammaDelta", "x", "XMLParser", "assertEquals", "foo_bar")
+
+texts = st.lists(st.sampled_from(WORDS), max_size=12).map(" ".join)
+
+
+@st.composite
+def suites_with_sources(draw, min_size=0, max_size=40):
+    """A suite of distinct cases with sources: duplicated, empty or absent."""
+    n = draw(st.integers(min_size, max_size))
+    suite = [f"c{i}" for i in range(n)]
+    draw(st.randoms()).shuffle(suite)
+    pool = draw(st.lists(texts, min_size=1, max_size=6))
+    sources = {}
+    for case in suite:
+        choice = draw(st.integers(0, len(pool) + 1))
+        if choice < len(pool):
+            sources[case] = pool[choice]
+        elif choice == len(pool):
+            sources[case] = ""
+    return suite, sources
+
+
+@st.composite
+def tie_rankings(draw, suite, max_levels=None):
+    """A ranking of ``suite`` into tie groups, often many small ones."""
+    levels = max_levels or max(1, len(suite))
+    level = {case: draw(st.integers(0, levels - 1)) for case in suite}
+    order = list(suite)
+    draw(st.randoms()).shuffle(order)
+    groups = {}
+    for case in order:
+        groups.setdefault(level[case], []).append(case)
+    return RankedSuite(tuple(tuple(groups[key]) for key in sorted(groups)))
+
+
+def outcome(function, *args):
+    """The value a call returns, or the type of exception it raises."""
+    try:
+        return function(*args)
+    except Exception as error:  # an empty suite has no first case
+        return type(error)
+
+
+weights_pool = st.sampled_from([0, 0.5, 1, 2, 0.1, 3.5])
+
+
+class TestCodeDistances:
+    @KERNEL_SETTINGS
+    @given(suites_with_sources(max_size=15), st.sampled_from(list(DistanceMetric)))
+    def test_keys_match_scalar_distances(self, drawn, metric):
+        suite, sources = drawn
+        keys = SourceVectors(sources).distances(suite, metric)
+        for i, a in enumerate(suite):
+            for j, b in enumerate(suite):
+                expected = safe_distance(
+                    tokenize(sources.get(a, "")), tokenize(sources.get(b, "")), metric
+                )
+                key = keys[i, j]
+                if metric is DistanceMetric.EUCLIDEAN:
+                    key = math.sqrt(key)
+                assert key == expected
+
+    @KERNEL_SETTINGS
+    @given(
+        suites_with_sources(),
+        st.sampled_from(list(DistanceMetric)),
+        st.sampled_from(list(StartPolicy)),
+    )
+    def test_chain_matches_oracle(self, drawn, metric, start):
+        suite, sources = drawn
+        approach = CodeDistOrder(metric, start, sources)
+        # a second, smaller cycle reuses the cached count matrix
+        for cycle_suite in (suite, suite[1:]):
+            assert outcome(approach.rank, cycle_suite) == outcome(
+                code_dist_chain_oracle, cycle_suite, sources, metric, start
+            )
+
+
+class TestBreakTiesCodeDist:
+    @KERNEL_SETTINGS
+    @given(st.data(), suites_with_sources(), st.sampled_from(list(DistanceMetric)))
+    def test_matches_oracle(self, data, drawn, metric):
+        suite, sources = drawn
+        primary = data.draw(tie_rankings(suite, max_levels=data.draw(st.integers(1, 8))))
+        out = break_ties_codedist(primary, SourceVectors(sources), metric)
+        assert out == break_ties_codedist_oracle(primary, sources, metric)
+
+
+class TestSchulze:
+    @KERNEL_SETTINGS
+    @given(st.data(), st.integers(0, 40), st.integers(1, 4))
+    def test_matches_oracle(self, data, n, count):
+        suite = [f"t{i}" for i in range(n)]
+        rankings = [
+            data.draw(tie_rankings(suite, max_levels=data.draw(st.integers(1, 10))))
+            for _ in range(count)
+        ]
+        weights = data.draw(
+            st.lists(weights_pool, min_size=count, max_size=count).filter(
+                lambda ws: any(w > 0 for w in ws)
+            )
+        )
+        d = pairwise_preferences(rankings, weights, suite)
+        expected_d = pairwise_preferences_oracle(rankings, weights, suite)
+        assert np.array_equal(d, np.array(expected_d, dtype=np.float64).reshape(n, n))
+        expected_p = strongest_paths_oracle(expected_d)
+        assert np.array_equal(
+            strongest_paths(d), np.array(expected_p, dtype=np.float64).reshape(n, n)
+        )
+        out = schulze_mix(rankings, weights, suite=suite)
+        assert out == schulze_mix_oracle(rankings, weights, suite)
+
+    @KERNEL_SETTINGS
+    @given(
+        st.integers(0, 12).flatmap(
+            lambda n: st.lists(
+                st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 7.25]), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    def test_strongest_paths_on_any_matrix(self, d):
+        # including a non-zero diagonal, which the relaxation must leave alone
+        n = len(d)
+        expected = np.array(strongest_paths_oracle(d), dtype=np.float64).reshape(n, n)
+        assert np.array_equal(strongest_paths(d), expected)
+
+
+class TestBreakTies:
+    @KERNEL_SETTINGS
+    @given(st.data(), st.integers(0, 40))
+    def test_matches_oracle(self, data, n):
+        suite = [f"t{i}" for i in range(n)]
+        primary = data.draw(tie_rankings(suite, max_levels=data.draw(st.integers(1, 10))))
+        secondary = data.draw(tie_rankings(suite, max_levels=data.draw(st.integers(1, 10))))
+        assert break_ties(primary, secondary) == break_ties_oracle(primary, secondary)

@@ -172,6 +172,14 @@ class TestRectified:
         with pytest.raises(DegenerateBoundsError):
             rapfd(["a"], record)
 
+    def test_non_finite_duration_raises_instead_of_clamping(self):
+        # an infinite duration makes apfd_c NaN, which must not clamp to 0.0
+        record = cycle(
+            0, ["a", "b", "c"], failures=["b"], durations={"a": 1, "b": float("inf"), "c": 2}
+        )
+        with pytest.raises(ValueError, match="not finite"):
+            rapfd_c(["a", "b", "c"], record)
+
     def test_values_stay_in_unit_interval(self):
         rng = random.Random(4)
         for _ in range(30):
