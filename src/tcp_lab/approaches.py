@@ -309,6 +309,11 @@ class SourceVectors:
         self._rows: dict[TestCaseId, int] = {}
         self._counts: np.ndarray | None = None
 
+    @classmethod
+    def of(cls, sources: SourceVectors | Mapping[TestCaseId, str] | None) -> SourceVectors:
+        """``sources`` itself if already vectors, else new vectors over it."""
+        return sources if isinstance(sources, SourceVectors) else cls(sources)
+
     def _matrix(self) -> np.ndarray:
         if self._counts is None:
             vectors = [tokenize(text) for text in self._sources.values()]
@@ -397,11 +402,11 @@ class CodeDistOrder(Approach):
         self,
         metric: DistanceMetric = DistanceMetric.EUCLIDEAN,
         start: StartPolicy = StartPolicy.FARTHEST_PAIR,
-        sources: Mapping[TestCaseId, str] | None = None,
+        sources: SourceVectors | Mapping[TestCaseId, str] | None = None,
     ):
         self.metric = DistanceMetric(metric)
         self.start = StartPolicy(start)
-        self._vectors = SourceVectors(sources)
+        self._vectors = SourceVectors.of(sources)
 
     def rank(self, suite: Sequence[TestCaseId]) -> RankedSuite:
         distances = self._vectors.distances(suite, self.metric)

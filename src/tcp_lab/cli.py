@@ -113,7 +113,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    # imported here: report pulls in scipy, which the other commands never use
+    # imported here: report pulls in scipy.special, which the other commands never use
     from tcp_lab.report import ReportError, write_report
 
     try:

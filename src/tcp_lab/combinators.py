@@ -13,8 +13,11 @@ the preset table of ready-made combined approaches.
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -60,13 +63,13 @@ class InvalidSpecError(ValueError):
 
 
 def _check_same_suite(
-    rankings: Sequence[RankedSuite], suite: Sequence[TestCaseId]
+    orders: Sequence[Sequence[TestCaseId]], suite: Sequence[TestCaseId]
 ) -> None:
+    """Each of ``orders`` (case sequences) must hold exactly the suite's cases."""
     expected = set(suite)
     if len(expected) != len(suite):
         raise QueueMismatchError("suite contains duplicate cases")
-    for ranking in rankings:
-        cases = ranking.cases()
+    for cases in orders:
         if len(cases) != len(suite) or set(cases) != expected:
             raise QueueMismatchError("ranking does not cover the expected suite")
 
@@ -94,17 +97,21 @@ def random_mix(
         raise ValueError("at least one queue required")
     _check_weights(weights, len(queues))
     reference = list(queues[0])
-    _check_same_suite(
-        [RankedSuite(tuple((c,) for c in q)) for q in queues], reference
-    )
+    _check_same_suite(queues, reference)
     indices = [i for i in range(len(queues)) if weights[i] > 0]
-    active_weights = [weights[i] for i in indices]
+    # the draw of Random.choices(indices, weights=...), with the cumulative
+    # weights accumulated once instead of on every draw
+    cumulative = list(accumulate(weights[i] for i in indices))
+    total = cumulative[-1] + 0.0
+    if reference and not math.isfinite(total):
+        raise ValueError("Total of weights must be finite")
+    last = len(cumulative) - 1
+    draw = random.Random(seed).random
     pointers = [0] * len(queues)
     emitted: set[TestCaseId] = set()
     order: list[TestCaseId] = []
-    rng = random.Random(seed)
     for _ in range(len(reference)):
-        picked = rng.choices(indices, weights=active_weights)[0]
+        picked = indices[bisect(cumulative, draw() * total, 0, last)]
         queue = queues[picked]
         p = pointers[picked]
         while queue[p] in emitted:
@@ -135,7 +142,7 @@ def borda_mix(
     _check_weights(weights, len(rankings))
     if suite is None:
         suite = rankings[0].cases()
-    _check_same_suite(rankings, suite)
+    _check_same_suite([ranking.cases() for ranking in rankings], suite)
     n = len(suite)
     scores: dict[TestCaseId, float] = {case: 0.0 for case in suite}
     for ranking, weight in zip(rankings, weights):
@@ -209,7 +216,7 @@ def schulze_mix(
     _check_weights(weights, len(rankings))
     if suite is None:
         suite = rankings[0].cases()
-    _check_same_suite(rankings, suite)
+    _check_same_suite([ranking.cases() for ranking in rankings], suite)
     n = len(suite)
     if n > max_suite:
         raise SuiteTooLargeError(
@@ -474,12 +481,12 @@ class CodeDistBrokenOrder(_Combined):
         self,
         primary: Approach,
         metric: DistanceMetric = DistanceMetric.EUCLIDEAN,
-        sources: Mapping[TestCaseId, str] | None = None,
+        sources: SourceVectors | Mapping[TestCaseId, str] | None = None,
     ):
         super().__init__([primary])
         self.primary = primary
         self.metric = DistanceMetric(metric)
-        self._vectors = SourceVectors(sources)
+        self._vectors = SourceVectors.of(sources)
 
     def rank(self, suite: Sequence[TestCaseId]) -> RankedSuite:
         return break_ties_codedist(self.primary.rank(suite), self._vectors, self.metric)
@@ -582,16 +589,19 @@ def _build_children(
 def build(
     spec: Mapping | str,
     *,
-    sources: Mapping[TestCaseId, str] | None = None,
+    sources: SourceVectors | Mapping[TestCaseId, str] | None = None,
     master_seed: int = 0,
 ) -> Approach:
     """Construct an approach from a spec tree or preset name.
 
-    ``sources`` backs the code-distance nodes; randomized nodes without an
+    ``sources`` backs the code-distance nodes: a case-to-source mapping, or
+    a :class:`SourceVectors` to share one tokenization across builds. All
+    code-distance nodes of one tree share one. Randomized nodes without an
     explicit ``seed`` get one derived deterministically from ``master_seed``
     and their position in the tree.
     """
     seeds = _SeedAllocator(master_seed)
+    sources = SourceVectors.of(sources)
 
     def construct(node: Mapping | str) -> Approach:
         if isinstance(node, str):

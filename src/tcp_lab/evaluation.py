@@ -24,10 +24,12 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from tcp_lab import metrics as metrics_mod
+from tcp_lab.approaches import SourceVectors
 from tcp_lab.combinators import build, spec_is_randomized
 from tcp_lab.dataset import attach_sources, filter_for_evaluation, read_canonical
 from tcp_lab.metrics import (
     CycleTiming,
+    CycleView,
     DegenerateBoundsError,
     MetricError,
     ZeroTotalTimeError,
@@ -175,42 +177,9 @@ class ProjectOutcome:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class _BaselineCycle:
-    """Order-independent per-cycle facts plus the no-prioritization timing."""
-
-    index: int
-    build: float
-    full_time: float
-    first_fault_time: float | None
-    failed: bool
-    tt: float
-
-
-def _baseline(history: ProjectHistory) -> list[_BaselineCycle]:
-    cycles = []
-    for cycle in history.cycles:
-        first_fault, full = _first_fault_and_full(
-            [e.case for e in cycle.executions], cycle
-        )
-        build = cycle.build_time if cycle.build_time is not None else 0.0
-        tt = testing_time(CycleTiming(0.0, build, first_fault, full))
-        cycles.append(
-            _BaselineCycle(cycle.index, build, full, first_fault, cycle.failed, tt)
-        )
-    return cycles
-
-
-def _first_fault_and_full(order, cycle) -> tuple[float | None, float]:
-    by_case = {e.case: e for e in cycle.executions}
-    elapsed = 0.0
-    first_fault = None
-    for case in order:
-        execution = by_case[case]
-        elapsed += execution.duration
-        if first_fault is None and execution.failed:
-            first_fault = elapsed
-    return first_fault, elapsed
+def _baseline(history: ProjectHistory) -> list[CycleView]:
+    """One view per cycle, shared by every approach and repetition."""
+    return [CycleView(cycle) for cycle in history.cycles]
 
 
 def load_project_history(
@@ -227,13 +196,22 @@ def evaluate_approach(
     name: str,
     spec: Mapping | str,
     config: EvaluationConfig,
-    baseline: list[_BaselineCycle] | None = None,
+    baseline: list[CycleView] | None = None,
+    vectors: SourceVectors | None = None,
 ) -> ApproachOutcome:
-    """Replay one approach over a (filtered) history, all repetitions."""
+    """Replay one approach over a (filtered) history, all repetitions.
+
+    ``baseline`` and ``vectors`` are the project's cycle views and source
+    vectors; callers replaying several approaches pass them in to share
+    them.
+    """
     if baseline is None:
         baseline = _baseline(history)
+    if vectors is None:
+        vectors = SourceVectors(history.sources)
     repetitions = config.repetitions if spec_is_randomized(spec) else 1
     wanted = config.metric_names
+    family = [m for m in APFD_FAMILY if m in wanted]
     rows: list[CycleRow] = []
     timing_rows: list[TimingRow] = []
     exclusions = {"rapfd_degenerate": 0, "rapfd_c_degenerate": 0}
@@ -242,7 +220,7 @@ def evaluate_approach(
     for rep in range(repetitions):
         approach = build(
             spec,
-            sources=history.sources,
+            sources=vectors,
             master_seed=derive_seed(config.seed, name, rep),
         )
         flatten_seeds = None
@@ -253,50 +231,55 @@ def evaluate_approach(
         rep_pt = 0.0
         ntr_pairs: list[tuple[float, float]] = []
 
-        for cycle, base in zip(history.cycles, baseline):
-            suite = list(cycle.suite)
+        for cycle, view in zip(history.cycles, baseline):
+            suite = list(view.suite)
             started = time.perf_counter()
             ranking = approach.rank(suite)
             prioritization = time.perf_counter() - started
             validate_ranking(suite, ranking)
             tie_seed = flatten_seeds.getrandbits(63) if flatten_seeds else 0
-            order = flatten(ranking, config.tie_policy, seed=tie_seed)
-            first_fault, full = _first_fault_and_full(order, cycle)
+            scored = view.score(flatten(ranking, config.tie_policy, seed=tie_seed))
+            first_fault = scored.first_fault_time
+            full = scored.full_time
             values: dict[str, float | None] = {}
-            fault_count = sum(1 for e in cycle.executions if e.failed)
-            if cycle.failed:
-                for metric_name in APFD_FAMILY:
-                    if metric_name not in wanted:
-                        continue
-                    values[metric_name] = _apfd_family_value(
-                        metric_name, order, cycle, exclusions, first_rep=rep == 0
-                    )
+            if view.failed:
+                for metric_name in family:
+                    try:
+                        value = getattr(scored, metric_name)
+                    except DegenerateBoundsError:
+                        if rep == 0:
+                            exclusions[f"{metric_name}_degenerate"] += 1
+                        value = None
+                    except ZeroTotalTimeError:
+                        # cycle-level condition (all durations zero); count once per metric
+                        if rep == 0:
+                            key = f"{metric_name}_zero_time"
+                            exclusions[key] = exclusions.get(key, 0) + 1
+                        value = None
+                    values[metric_name] = value
+                    if value is not None:
+                        rep_values[metric_name].append(value)
                 ntr_pairs.append((full, first_fault if first_fault is not None else full))
             rows.append(
                 CycleRow(
                     repetition=rep,
                     cycle_index=cycle.index,
                     suite_size=len(suite),
-                    fault_count=fault_count,
+                    fault_count=view.fault_count,
                     values=values,
                     first_fault_time=first_fault,
                     full_time=full,
                 )
             )
-            tt = testing_time(CycleTiming(prioritization, base.build, first_fault, full))
+            tt = testing_time(CycleTiming(prioritization, view.build, first_fault, full))
             rep_tts.append(tt)
             rep_pt += prioritization
             timing_rows.append(
-                TimingRow(rep, cycle.index, prioritization, base.build, tt, base.tt)
+                TimingRow(rep, cycle.index, prioritization, view.build, tt, view.tt)
             )
-            for metric_name, value in values.items():
-                if value is not None:
-                    rep_values[metric_name].append(value)
             approach.observe(cycle.executions)
 
-        for metric_name in APFD_FAMILY:
-            if metric_name not in wanted:
-                continue
+        for metric_name in family:
             if rep_values[metric_name]:
                 mean, median = mean_median(rep_values[metric_name])
                 per_rep.setdefault(f"{metric_name}_mean", []).append(mean)
@@ -317,7 +300,7 @@ def evaluate_approach(
 
     aggregates: dict[str, float | None] = {}
     no_data: list[str] = []
-    keys = [f"{m}_{s}" for m in APFD_FAMILY if m in wanted for s in ("mean", "median")]
+    keys = [f"{m}_{s}" for m in family for s in ("mean", "median")]
     keys += [m for m in ("ntr", "atr") if m in wanted]
     keys.append("total_pt")
     for key in keys:
@@ -338,24 +321,6 @@ def evaluate_approach(
     )
 
 
-def _apfd_family_value(
-    metric_name, order, cycle, exclusions, first_rep: bool
-) -> float | None:
-    compute = getattr(metrics_mod, metric_name)
-    try:
-        return compute(order, cycle)
-    except DegenerateBoundsError:
-        if first_rep:
-            exclusions[f"{metric_name}_degenerate"] += 1
-        return None
-    except ZeroTotalTimeError:
-        # cycle-level condition (all durations zero); count once per metric
-        if first_rep:
-            key = f"{metric_name}_zero_time"
-            exclusions[key] = exclusions.get(key, 0) + 1
-        return None
-
-
 def evaluate_project(
     project: ProjectConfig, config: EvaluationConfig
 ) -> ProjectOutcome:
@@ -363,6 +328,8 @@ def evaluate_project(
     try:
         history = load_project_history(project, config.min_suite_size)
         baseline = _baseline(history)
+        # tokenized on the first rank that needs it, then shared
+        vectors = SourceVectors(history.sources)
         outcome = ProjectOutcome(
             project=project.name,
             cycles=len(history.cycles),
@@ -370,7 +337,7 @@ def evaluate_project(
         )
         for name, spec in config.approaches.items():
             outcome.approaches[name] = evaluate_approach(
-                history, name, spec, config, baseline
+                history, name, spec, config, baseline, vectors
             )
         return outcome
     except Exception as error:  # isolate failures per project

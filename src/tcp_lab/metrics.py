@@ -11,6 +11,18 @@ values over all permutations of the cycle, so 1 is always the optimal
 ordering and 0 the worst; cycles whose bounds coincide (single test, or
 every test failing with equal costs) are degenerate and excluded from
 aggregation by callers.
+
+One implementation: :class:`CycleView` holds a cycle's order-independent
+facts and turns an order into an index permutation once; the
+:class:`ScoredOrder` it returns yields every APFD-family value, and the
+public functions below are thin wrappers over the two.
+
+Accumulation rule: a value summed with builtin ``sum`` stays summed with
+``sum`` and a value accumulated left to right (a loop, ``reduce`` or
+``accumulate`` over ``+``) stays accumulated that way. From Python 3.12 on,
+``sum`` of floats is compensated and no longer equals the plain loop, so
+swapping one for the other would change the written values in the last
+bits.
 """
 
 from __future__ import annotations
@@ -18,9 +30,12 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from itertools import accumulate, compress, count
+from operator import add
 from typing import Mapping, Sequence
 
-from tcp_lab.model import CycleRecord, TestCaseId, TestExecution
+from tcp_lab.model import CycleRecord, TestCaseId
 
 # Bounds closer than this are considered degenerate for rectification.
 DEGENERATE_EPSILON = 1e-12
@@ -54,47 +69,153 @@ class NoDataError(MetricError):
     """Aggregation over an empty population; values are never imputed."""
 
 
-def _ordered_executions(
-    order: Sequence[TestCaseId], cycle: CycleRecord
-) -> list[TestExecution]:
-    by_case = {e.case: e for e in cycle.executions}
-    if len(order) != len(by_case) or set(order) != set(by_case):
-        raise ValueError("order is not a permutation of the cycle's suite")
-    return [by_case[case] for case in order]
+class CycleView:
+    """Order-independent facts of one cycle, computed once and shared.
+
+    Holds the suite, a case-to-index map, the durations and the fail mask in
+    the cycle's original order, the fault count, the build time and the
+    no-prioritization baseline (first-fault time, full time and testing
+    time). The rectification bounds are computed on first use and kept.
+    :meth:`score` evaluates one order of the suite; every APFD-family value
+    comes from the :class:`ScoredOrder` it returns.
+    """
+
+    def __init__(self, cycle: CycleRecord):
+        executions = cycle.executions
+        self.suite = tuple(e.case for e in executions)
+        self.position = {case: i for i, case in enumerate(self.suite)}
+        self.durations = [e.duration for e in executions]
+        self.fails = [e.failed for e in executions]
+        self.fault_count = sum(self.fails)
+        self.failed = self.fault_count > 0
+        # the sum of non-negative durations is 0 in any order iff all are 0
+        self.zero_time = not any(self.durations)
+        self.build = cycle.build_time if cycle.build_time is not None else 0.0
+        baseline = self._scored(range(len(self.suite)))
+        self.first_fault_time = baseline.first_fault_time
+        self.full_time = baseline.full_time
+        self.tt = testing_time(
+            CycleTiming(0.0, self.build, self.first_fault_time, self.full_time)
+        )
+
+    def score(self, order: Sequence[TestCaseId]) -> ScoredOrder:
+        """Evaluate ``order``, which must be a permutation of the suite."""
+        try:
+            permutation = list(map(self.position.__getitem__, order))
+        except KeyError:
+            permutation = None
+        if (
+            permutation is None
+            or len(permutation) != len(self.suite)
+            or len(set(permutation)) != len(permutation)
+        ):
+            raise ValueError("order is not a permutation of the cycle's suite")
+        return self._scored(permutation)
+
+    def _scored(self, permutation: Sequence[int]) -> ScoredOrder:
+        durations = list(map(self.durations.__getitem__, permutation))
+        ranks = list(compress(count(1), map(self.fails.__getitem__, permutation)))
+        return ScoredOrder(self, durations, ranks)
+
+    @cached_property
+    def apfd_bounds(self) -> tuple[float, float]:
+        """Exact (min, max) of APFD over all permutations of the suite.
+
+        The maximum places all failing tests at ranks 1..m, the minimum at
+        the last m ranks. With every test failing the bounds coincide; the
+        rectified metric treats that as degenerate.
+        """
+        if not self.failed:
+            raise NoFaultsError("cycle has no failing executions")
+        n = len(self.suite)
+        m = self.fault_count
+        best_sum = m * (m + 1) // 2
+        worst_sum = m * n - m * (m - 1) // 2
+        low = 1.0 - worst_sum / (n * m) + 1.0 / (2 * n)
+        high = 1.0 - best_sum / (n * m) + 1.0 / (2 * n)
+        return low, high
+
+    @cached_property
+    def apfd_c_bounds(self) -> tuple[float, float]:
+        """Exact (min, max) of APFD_C over all permutations of the suite.
+
+        The optimum runs the failing tests first in ascending duration; the
+        worst runs them last in descending duration. Passing-test order does
+        not affect the value in either arrangement (adjacent-swap argument;
+        also certified against a brute-force permutation oracle in the test
+        suite).
+        """
+        everyone = range(len(self.suite))
+        failing = sorted(
+            (i for i in everyone if self.fails[i]), key=self.durations.__getitem__
+        )
+        passing = [i for i in everyone if not self.fails[i]]
+        worst = self._scored(passing + failing[::-1]).apfd_c
+        best = self._scored(failing + passing).apfd_c
+        return worst, best
 
 
-def _fault_ranks(executions: Sequence[TestExecution]) -> list[int]:
-    """1-based ranks of failing tests in the evaluated order."""
-    return [i + 1 for i, e in enumerate(executions) if e.failed]
+class ScoredOrder:
+    """One order of a cycle's suite, evaluated in a single pass.
+
+    ``durations`` are the durations in evaluated order and ``ranks`` the
+    1-based positions of the failing tests. The first-fault time (None when
+    nothing fails) and the full time are left-to-right running sums.
+    """
+
+    def __init__(self, view: CycleView, durations: list[float], ranks: list[int]):
+        self.view = view
+        self.durations = durations
+        self.ranks = ranks
+        if ranks:
+            self.first_fault_time = reduce(add, durations[: ranks[0]], 0.0)
+            self.full_time = reduce(add, durations[ranks[0] :], self.first_fault_time)
+        else:
+            self.first_fault_time = None
+            self.full_time = reduce(add, durations, 0.0)
+
+    @cached_property
+    def apfd(self) -> float:
+        ranks = self.ranks
+        if not ranks:
+            raise NoFaultsError("cycle has no failing executions")
+        n = len(self.durations)
+        m = len(ranks)
+        return 1.0 - sum(ranks) / (n * m) + 1.0 / (2 * n)
+
+    @cached_property
+    def apfd_c(self) -> float:
+        ranks = self.ranks
+        if not ranks:
+            raise NoFaultsError("cycle has no failing executions")
+        if self.view.zero_time:
+            raise ZeroTotalTimeError("total execution time is zero")
+        durations = self.durations
+        total = sum(durations)
+        n = len(durations)
+        # suffix[k]: the last k durations summed right to left; ranks are
+        # never earlier than the first fault, so the scan stops there
+        suffix = list(accumulate(reversed(durations[ranks[0] - 1 :]), initial=0.0))
+        numerator = sum(suffix[n - r + 1] - durations[r - 1] / 2 for r in ranks)
+        return numerator / (total * len(ranks))
+
+    @property
+    def rapfd(self) -> float:
+        return _rectify(self.apfd, self.view.apfd_bounds)
+
+    @property
+    def rapfd_c(self) -> float:
+        return _rectify(self.apfd_c, self.view.apfd_c_bounds)
 
 
 def apfd(order: Sequence[TestCaseId], cycle: CycleRecord) -> float:
     """Average percentage of faults detected for one evaluated order."""
-    executions = _ordered_executions(order, cycle)
-    ranks = _fault_ranks(executions)
-    if not ranks:
-        raise NoFaultsError("cycle has no failing executions")
-    n = len(executions)
-    m = len(ranks)
-    return 1.0 - sum(ranks) / (n * m) + 1.0 / (2 * n)
+    return CycleView(cycle).score(order).apfd
 
 
 def apfd_c(order: Sequence[TestCaseId], cycle: CycleRecord) -> float:
     """Cost-cognizant variant weighting by execution times (equal severities)."""
-    executions = _ordered_executions(order, cycle)
-    ranks = _fault_ranks(executions)
-    if not ranks:
-        raise NoFaultsError("cycle has no failing executions")
-    durations = [e.duration for e in executions]
-    total = sum(durations)
-    if total == 0:
-        raise ZeroTotalTimeError("total execution time is zero")
-    n = len(durations)
-    suffix = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + durations[i]
-    numerator = sum(suffix[r - 1] - durations[r - 1] / 2 for r in ranks)
-    return numerator / (total * len(ranks))
+    return CycleView(cycle).score(order).apfd_c
 
 
 def napfd(
@@ -107,11 +228,11 @@ def napfd(
     The detected fraction scales the value and undetected fault ranks count
     as zero. The suite size stays the full ``n`` under the prefix constraint.
     """
-    executions = _ordered_executions(order, cycle)
-    ranks = _fault_ranks(executions)
+    scored = CycleView(cycle).score(order)
+    ranks = scored.ranks
     if not ranks:
         raise NoFaultsError("cycle has no failing executions")
-    n = len(executions)
+    n = len(scored.durations)
     if not 0 <= executed_prefix_length <= n:
         raise ValueError("executed prefix must be between 0 and the suite size")
     m = len(ranks)
@@ -121,41 +242,13 @@ def napfd(
 
 
 def apfd_bounds(cycle: CycleRecord) -> tuple[float, float]:
-    """Exact (min, max) achievable by any permutation of the cycle's suite.
-
-    The maximum places all failing tests at ranks 1..m, the minimum at the
-    last m ranks. With every test failing the bounds coincide; callers of
-    the rectified metric treat that as degenerate.
-    """
-    ranks = _fault_ranks(cycle.executions)
-    if not ranks:
-        raise NoFaultsError("cycle has no failing executions")
-    n = len(cycle.executions)
-    m = len(ranks)
-    best_sum = m * (m + 1) // 2
-    worst_sum = m * n - m * (m - 1) // 2
-    low = 1.0 - worst_sum / (n * m) + 1.0 / (2 * n)
-    high = 1.0 - best_sum / (n * m) + 1.0 / (2 * n)
-    return low, high
+    """Exact (min, max) APFD over all permutations; see :class:`CycleView`."""
+    return CycleView(cycle).apfd_bounds
 
 
 def apfd_c_bounds(cycle: CycleRecord) -> tuple[float, float]:
-    """Exact (min, max) of the cost-cognizant metric over all permutations.
-
-    The optimum runs the failing tests first in ascending duration; the
-    worst runs them last in descending duration. Passing-test order does not
-    affect the value in either arrangement (adjacent-swap argument; also
-    certified against a brute-force permutation oracle in the test suite).
-    """
-    failing = sorted(
-        (e for e in cycle.executions if e.failed), key=lambda e: e.duration
-    )
-    if not failing:
-        raise NoFaultsError("cycle has no failing executions")
-    passing = [e for e in cycle.executions if not e.failed]
-    best = [e.case for e in failing] + [e.case for e in passing]
-    worst = [e.case for e in passing] + [e.case for e in reversed(failing)]
-    return apfd_c(worst, cycle), apfd_c(best, cycle)
+    """Exact (min, max) APFD_C over all permutations; see :class:`CycleView`."""
+    return CycleView(cycle).apfd_c_bounds
 
 
 def _rectify(value: float, bounds: tuple[float, float]) -> float:
@@ -171,12 +264,12 @@ def _rectify(value: float, bounds: tuple[float, float]) -> float:
 
 def rapfd(order: Sequence[TestCaseId], cycle: CycleRecord) -> float:
     """Min-max rectified fault-detection metric, 1 for optimal and 0 for worst."""
-    return _rectify(apfd(order, cycle), apfd_bounds(cycle))
+    return CycleView(cycle).score(order).rapfd
 
 
 def rapfd_c(order: Sequence[TestCaseId], cycle: CycleRecord) -> float:
     """Min-max rectified cost-cognizant metric, 1 for optimal and 0 for worst."""
-    return _rectify(apfd_c(order, cycle), apfd_c_bounds(cycle))
+    return CycleView(cycle).score(order).rapfd_c
 
 
 def ntr(pairs: Sequence[tuple[float, float]]) -> float:

@@ -15,6 +15,7 @@ import enum
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from itertools import chain, groupby
 from typing import Iterable, Mapping, Sequence
 
 TestCaseId = str
@@ -52,16 +53,15 @@ class TestExecution:
     case: TestCaseId
     duration: float
     verdict: Verdict
+    # derived from verdict once, here, instead of on every read
+    failed: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.case:
             raise ValueError("test case id must be non-empty")
         if not self.duration >= 0:
             raise ValueError(f"duration must be >= 0, got {self.duration}")
-
-    @property
-    def failed(self) -> bool:
-        return self.verdict is Verdict.FAIL
+        object.__setattr__(self, "failed", self.verdict is Verdict.FAIL)
 
 
 @dataclass(frozen=True)
@@ -103,10 +103,6 @@ class CycleRecord:
         """A cycle is failed iff at least one execution failed."""
         return any(e.failed for e in self.executions)
 
-    @property
-    def total_duration(self) -> float:
-        return sum(e.duration for e in self.executions)
-
 
 @dataclass(frozen=True)
 class ProjectHistory:
@@ -147,12 +143,10 @@ class RankedSuite:
     groups: tuple[tuple[TestCaseId, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "groups", tuple(tuple(group) for group in self.groups)
-        )
-        for group in self.groups:
-            if not group:
-                raise ValueError("ranking groups must be non-empty")
+        groups = tuple(map(tuple, self.groups))
+        object.__setattr__(self, "groups", groups)
+        if not all(groups):
+            raise ValueError("ranking groups must be non-empty")
 
     def __iter__(self):
         return iter(self.groups)
@@ -162,10 +156,7 @@ class RankedSuite:
 
     def cases(self) -> tuple[TestCaseId, ...]:
         """All cases in group order (within groups: original order)."""
-        return tuple(case for group in self.groups for case in group)
-
-    def is_all_singletons(self) -> bool:
-        return all(len(group) == 1 for group in self.groups)
+        return tuple(chain.from_iterable(self.groups))
 
 
 def ranked_from_scores(
@@ -176,20 +167,20 @@ def ranked_from_scores(
 ) -> RankedSuite:
     """Group a suite by score, preserving original order inside tie groups.
 
-    ``score_of`` maps a case id to a sortable score; equal scores form one
-    tie group. Ascending by default (lower score first).
+    ``score_of`` maps a case id to a totally ordered score (no NaN); equal
+    scores form one tie group. Ascending by default (lower score first).
+    Each score is computed once; the stable sort keeps equal scores in
+    original order, also when reversed for ``descending``.
     """
-    scored = [(score_of(case), position, case) for position, case in enumerate(suite)]
-    scored.sort(key=lambda item: (-item[0] if descending else item[0], item[1]))
-    groups: list[list[TestCaseId]] = []
-    last_score: object = None
-    for score, _, case in scored:
-        if groups and score == last_score:
-            groups[-1].append(case)
-        else:
-            groups.append([case])
-            last_score = score
-    return RankedSuite(tuple(tuple(g) for g in groups))
+    keys = list(map(score_of, suite))
+    order = sorted(range(len(keys)), key=keys.__getitem__, reverse=descending)
+    case_at = suite.__getitem__
+    return RankedSuite(
+        tuple(
+            tuple(map(case_at, positions))
+            for _, positions in groupby(order, keys.__getitem__)
+        )
+    )
 
 
 def validate_ranking(suite: Iterable[TestCaseId], ranking: RankedSuite) -> None:
@@ -221,12 +212,19 @@ def flatten(
 
     STABLE keeps each group's stored (original) order; RANDOM shuffles each
     group with one RNG seeded by ``seed``, so equal seeds give equal output.
+    Shuffling a single case draws nothing from the RNG, so singleton groups
+    are copied as they are and an all-singleton ranking creates no RNG.
     """
     if policy is FlattenPolicy.STABLE:
-        return list(ranking.cases())
-    rng = random.Random(seed)
+        return list(chain.from_iterable(ranking.groups))
+    rng = None
     order: list[TestCaseId] = []
     for group in ranking.groups:
+        if len(group) == 1:
+            order.append(group[0])
+            continue
+        if rng is None:
+            rng = random.Random(seed)
         members = list(group)
         rng.shuffle(members)
         order.extend(members)

@@ -2,22 +2,50 @@
 
 The metric oracles recompute values from first principles over explicit
 permutations, deliberately sharing no code with the library implementation.
-The kernel oracles at the end are the plain-Python code-distance, Schulze
-and tiebreak loops that the numpy kernels must reproduce exactly.
+The kernel oracles after them are the plain-Python code-distance, Schulze
+and tiebreak loops that the numpy kernels must reproduce exactly. The last
+section keeps the replay harness's earlier per-cycle path (a case dict per
+cycle and metric, bounds recomputed on every call) and the earlier
+``ranked_from_scores``, ``flatten`` and ``random_mix``, which the lean
+versions must also reproduce exactly.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from itertools import permutations
 from typing import Callable, Mapping, Sequence
 
+from tcp_lab import metrics
 from tcp_lab.approaches import DistanceMetric, StartPolicy, safe_distance, tokenize
+from tcp_lab.combinators import _check_weights, build, spec_is_randomized
+from tcp_lab.evaluation import (
+    APFD_FAMILY,
+    ApproachOutcome,
+    CycleRow,
+    EvaluationConfig,
+    TimingRow,
+    derive_seed,
+)
+from tcp_lab.metrics import (
+    CycleTiming,
+    DegenerateBoundsError,
+    MetricError,
+    NoFaultsError,
+    ZeroTotalTimeError,
+    mean_median,
+    testing_time,
+)
 from tcp_lab.model import (
     CycleRecord,
+    FlattenPolicy,
+    ProjectHistory,
     RankedSuite,
     TestCaseId,
     TestExecution,
     ranked_from_scores,
+    validate_ranking,
 )
 
 
@@ -232,3 +260,298 @@ def break_ties_oracle(primary: RankedSuite, secondary: RankedSuite) -> RankedSui
             if refined:
                 groups.append(refined)
     return RankedSuite(tuple(groups))
+
+
+# --- the per-cycle harness path the cycle view replaced ----------------------
+#
+# Metric values are computed here exactly as before: a {case: execution} dict
+# per call, builtin ``sum`` where it was used and ``+=`` loops where they were.
+
+
+def _ordered_executions(
+    order: Sequence[TestCaseId], cycle: CycleRecord
+) -> list[TestExecution]:
+    by_case = {e.case: e for e in cycle.executions}
+    if len(order) != len(by_case) or set(order) != set(by_case):
+        raise ValueError("order is not a permutation of the cycle's suite")
+    return [by_case[case] for case in order]
+
+
+def _fault_ranks(executions: Sequence[TestExecution]) -> list[int]:
+    return [i + 1 for i, e in enumerate(executions) if e.failed]
+
+
+def apfd_oracle(order: Sequence[TestCaseId], cycle: CycleRecord) -> float:
+    executions = _ordered_executions(order, cycle)
+    ranks = _fault_ranks(executions)
+    if not ranks:
+        raise NoFaultsError("cycle has no failing executions")
+    n = len(executions)
+    m = len(ranks)
+    return 1.0 - sum(ranks) / (n * m) + 1.0 / (2 * n)
+
+
+def apfd_c_oracle(order: Sequence[TestCaseId], cycle: CycleRecord) -> float:
+    executions = _ordered_executions(order, cycle)
+    ranks = _fault_ranks(executions)
+    if not ranks:
+        raise NoFaultsError("cycle has no failing executions")
+    durations = [e.duration for e in executions]
+    total = sum(durations)
+    if total == 0:
+        raise ZeroTotalTimeError("total execution time is zero")
+    n = len(durations)
+    suffix = [0.0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + durations[i]
+    numerator = sum(suffix[r - 1] - durations[r - 1] / 2 for r in ranks)
+    return numerator / (total * len(ranks))
+
+
+def napfd_oracle(
+    order: Sequence[TestCaseId], cycle: CycleRecord, executed_prefix_length: int
+) -> float:
+    executions = _ordered_executions(order, cycle)
+    ranks = _fault_ranks(executions)
+    if not ranks:
+        raise NoFaultsError("cycle has no failing executions")
+    n = len(executions)
+    if not 0 <= executed_prefix_length <= n:
+        raise ValueError("executed prefix must be between 0 and the suite size")
+    m = len(ranks)
+    detected = [r for r in ranks if r <= executed_prefix_length]
+    p = len(detected) / m
+    return p - sum(detected) / (n * m) + p / (2 * n)
+
+
+def apfd_bounds_oracle(cycle: CycleRecord) -> tuple[float, float]:
+    ranks = _fault_ranks(cycle.executions)
+    if not ranks:
+        raise NoFaultsError("cycle has no failing executions")
+    n = len(cycle.executions)
+    m = len(ranks)
+    best_sum = m * (m + 1) // 2
+    worst_sum = m * n - m * (m - 1) // 2
+    low = 1.0 - worst_sum / (n * m) + 1.0 / (2 * n)
+    high = 1.0 - best_sum / (n * m) + 1.0 / (2 * n)
+    return low, high
+
+
+def apfd_c_bounds_oracle(cycle: CycleRecord) -> tuple[float, float]:
+    failing = sorted((e for e in cycle.executions if e.failed), key=lambda e: e.duration)
+    if not failing:
+        raise NoFaultsError("cycle has no failing executions")
+    passing = [e for e in cycle.executions if not e.failed]
+    best = [e.case for e in failing] + [e.case for e in passing]
+    worst = [e.case for e in passing] + [e.case for e in reversed(failing)]
+    return apfd_c_oracle(worst, cycle), apfd_c_oracle(best, cycle)
+
+
+def _rectify(value: float, bounds: tuple[float, float]) -> float:
+    low, high = bounds
+    if not (math.isfinite(value) and math.isfinite(low) and math.isfinite(high)):
+        raise ValueError(f"cannot rectify {value} between {low} and {high}: not finite")
+    if high - low < metrics.DEGENERATE_EPSILON:
+        raise DegenerateBoundsError("metric bounds coincide for this cycle")
+    return min(1.0, max(0.0, (value - low) / (high - low)))
+
+
+def rapfd_oracle(order: Sequence[TestCaseId], cycle: CycleRecord) -> float:
+    return _rectify(apfd_oracle(order, cycle), apfd_bounds_oracle(cycle))
+
+
+def rapfd_c_oracle(order: Sequence[TestCaseId], cycle: CycleRecord) -> float:
+    return _rectify(apfd_c_oracle(order, cycle), apfd_c_bounds_oracle(cycle))
+
+
+METRIC_ORACLES = {
+    "apfd": apfd_oracle,
+    "apfd_c": apfd_c_oracle,
+    "rapfd": rapfd_oracle,
+    "rapfd_c": rapfd_c_oracle,
+}
+
+
+def _first_fault_and_full(order, cycle) -> tuple[float | None, float]:
+    by_case = {e.case: e for e in cycle.executions}
+    elapsed = 0.0
+    first_fault = None
+    for case in order:
+        execution = by_case[case]
+        elapsed += execution.duration
+        if first_fault is None and execution.failed:
+            first_fault = elapsed
+    return first_fault, elapsed
+
+
+def _apfd_family_value(metric_name, order, cycle, exclusions, first_rep):
+    try:
+        return METRIC_ORACLES[metric_name](order, cycle)
+    except DegenerateBoundsError:
+        if first_rep:
+            exclusions[f"{metric_name}_degenerate"] += 1
+        return None
+    except ZeroTotalTimeError:
+        if first_rep:
+            key = f"{metric_name}_zero_time"
+            exclusions[key] = exclusions.get(key, 0) + 1
+        return None
+
+
+def evaluate_approach_oracle(
+    history: ProjectHistory,
+    name: str,
+    spec,
+    config: EvaluationConfig,
+    clock: Callable[[], float],
+) -> ApproachOutcome:
+    """The replay loop as it was before the per-cycle view, with ``clock``
+    standing in for ``time.perf_counter``."""
+    baseline = []
+    for cycle in history.cycles:
+        first_fault, full = _first_fault_and_full([e.case for e in cycle.executions], cycle)
+        build_s = cycle.build_time if cycle.build_time is not None else 0.0
+        baseline.append(
+            (build_s, testing_time(CycleTiming(0.0, build_s, first_fault, full)))
+        )
+    repetitions = config.repetitions if spec_is_randomized(spec) else 1
+    wanted = config.metric_names
+    rows: list[CycleRow] = []
+    timing_rows: list[TimingRow] = []
+    exclusions = {"rapfd_degenerate": 0, "rapfd_c_degenerate": 0}
+    per_rep: dict[str, list[float]] = {}
+    for rep in range(repetitions):
+        approach = build(
+            spec, sources=history.sources, master_seed=derive_seed(config.seed, name, rep)
+        )
+        flatten_seeds = None
+        if config.tie_policy is FlattenPolicy.RANDOM:
+            flatten_seeds = random.Random(derive_seed(config.seed, name, rep, "ties"))
+        rep_values: dict[str, list[float]] = {m: [] for m in APFD_FAMILY}
+        rep_tts: list[float] = []
+        rep_pt = 0.0
+        ntr_pairs: list[tuple[float, float]] = []
+        for cycle, (build_s, base_tt) in zip(history.cycles, baseline):
+            suite = list(cycle.suite)
+            started = clock()
+            ranking = approach.rank(suite)
+            prioritization = clock() - started
+            validate_ranking(suite, ranking)
+            tie_seed = flatten_seeds.getrandbits(63) if flatten_seeds else 0
+            order = flatten_oracle(ranking, config.tie_policy, seed=tie_seed)
+            first_fault, full = _first_fault_and_full(order, cycle)
+            values: dict[str, float | None] = {}
+            fault_count = sum(1 for e in cycle.executions if e.failed)
+            if cycle.failed:
+                for metric_name in APFD_FAMILY:
+                    if metric_name in wanted:
+                        values[metric_name] = _apfd_family_value(
+                            metric_name, order, cycle, exclusions, rep == 0
+                        )
+                ntr_pairs.append((full, first_fault if first_fault is not None else full))
+            rows.append(
+                CycleRow(rep, cycle.index, len(suite), fault_count, values, first_fault, full)
+            )
+            tt = testing_time(CycleTiming(prioritization, build_s, first_fault, full))
+            rep_tts.append(tt)
+            rep_pt += prioritization
+            timing_rows.append(TimingRow(rep, cycle.index, prioritization, build_s, tt, base_tt))
+            for metric_name, value in values.items():
+                if value is not None:
+                    rep_values[metric_name].append(value)
+            approach.observe(cycle.executions)
+        for metric_name in APFD_FAMILY:
+            if metric_name in wanted and rep_values[metric_name]:
+                mean, median = mean_median(rep_values[metric_name])
+                per_rep.setdefault(f"{metric_name}_mean", []).append(mean)
+                per_rep.setdefault(f"{metric_name}_median", []).append(median)
+        if "ntr" in wanted:
+            try:
+                per_rep.setdefault("ntr", []).append(metrics.ntr(ntr_pairs))
+            except MetricError:
+                pass
+        if "atr" in wanted:
+            try:
+                per_rep.setdefault("atr", []).append(
+                    metrics.atr(rep_tts, [tt for _, tt in baseline])
+                )
+            except MetricError:
+                pass
+        per_rep.setdefault("total_pt", []).append(rep_pt)
+    aggregates: dict[str, float | None] = {}
+    no_data: list[str] = []
+    keys = [f"{m}_{s}" for m in APFD_FAMILY if m in wanted for s in ("mean", "median")]
+    keys += [m for m in ("ntr", "atr") if m in wanted]
+    keys.append("total_pt")
+    for key in keys:
+        series = per_rep.get(key, [])
+        if series:
+            aggregates[key] = sum(series) / len(series)
+        else:
+            aggregates[key] = None
+            no_data.append(key)
+    return ApproachOutcome(
+        name, repetitions, rows, timing_rows, aggregates, no_data, exclusions
+    )
+
+
+# --- the per-call rank path before it was made lean ---------------------------
+
+
+def ranked_from_scores_oracle(
+    suite: Sequence[TestCaseId], score_of, *, descending: bool = False
+) -> RankedSuite:
+    scored = [(score_of(case), position, case) for position, case in enumerate(suite)]
+    scored.sort(key=lambda item: (-item[0] if descending else item[0], item[1]))
+    groups: list[list[TestCaseId]] = []
+    last_score: object = None
+    for score, _, case in scored:
+        if groups and score == last_score:
+            groups[-1].append(case)
+        else:
+            groups.append([case])
+            last_score = score
+    return RankedSuite(tuple(tuple(g) for g in groups))
+
+
+def flatten_oracle(
+    ranking: RankedSuite, policy: FlattenPolicy = FlattenPolicy.STABLE, seed: int = 0
+) -> list[TestCaseId]:
+    if policy is FlattenPolicy.STABLE:
+        return list(ranking.cases())
+    rng = random.Random(seed)
+    order: list[TestCaseId] = []
+    for group in ranking.groups:
+        members = list(group)
+        rng.shuffle(members)
+        order.extend(members)
+    return order
+
+
+def random_mix_oracle(
+    queues: Sequence[Sequence[TestCaseId]], weights: Sequence[float], seed: int = 0
+) -> RankedSuite:
+    """Weighted random merge drawing each queue with ``Random.choices``.
+
+    The suite check (a set per queue) is left to the library version.
+    """
+    if not queues:
+        raise ValueError("at least one queue required")
+    _check_weights(weights, len(queues))
+    reference = list(queues[0])
+    indices = [i for i in range(len(queues)) if weights[i] > 0]
+    active_weights = [weights[i] for i in indices]
+    pointers = [0] * len(queues)
+    emitted: set[TestCaseId] = set()
+    order: list[TestCaseId] = []
+    rng = random.Random(seed)
+    for _ in range(len(reference)):
+        picked = rng.choices(indices, weights=active_weights)[0]
+        queue = queues[picked]
+        p = pointers[picked]
+        while queue[p] in emitted:
+            p += 1
+        pointers[picked] = p + 1
+        emitted.add(queue[p])
+        order.append(queue[p])
+    return RankedSuite(tuple((case,) for case in order))
