@@ -17,9 +17,7 @@ import math
 import random
 import re
 from collections import Counter
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from tcp_lab.model import (
     Approach,
@@ -28,6 +26,13 @@ from tcp_lab.model import (
     TestExecution,
     ranked_from_scores,
 )
+
+# numpy is imported inside the functions that use it, so that history-only
+# approaches never pay for loading it. Constructors of approaches that need
+# it import it too: the one-time load then happens in ``build``, never inside
+# a timed ``rank``.
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_ALPHA = 0.8
 
@@ -316,6 +321,8 @@ class SourceVectors:
 
     def _matrix(self) -> np.ndarray:
         if self._counts is None:
+            import numpy as np
+
             vectors = [tokenize(text) for text in self._sources.values()]
             columns: dict[str, int] = {}
             for vector in vectors:
@@ -340,6 +347,8 @@ class SourceVectors:
         j does: the Manhattan distance, the *squared* Euclidean distance, or
         the cosine distance computed in ``vector_distance``'s operation order.
         """
+        import numpy as np
+
         matrix = self._matrix()
         counts = matrix[[self._rows.get(case, len(matrix) - 1) for case in cases]]
         counts = counts[:, counts.any(axis=0)].astype(np.float64)
@@ -365,6 +374,8 @@ def _manhattan(counts: np.ndarray) -> np.ndarray:
     |a - b| = a + b - 2 min(a, b), and the sum of min(a, b) over tokens is
     the dot product of the rows' indicators 1[count >= t], summed over t.
     """
+    import numpy as np
+
     totals = counts.sum(axis=1)
     shared = np.zeros((len(counts), len(counts)))
     threshold = 1
@@ -384,6 +395,8 @@ def farthest_pair_start(
     ``distances`` holds the pairwise distance keys over ``suite``. Ties
     between pairs resolve to the earliest pair in position order.
     """
+    import numpy as np
+
     upper_rows, upper_columns = np.triu_indices(len(suite), k=1)
     if not len(upper_rows):
         return suite[0]
@@ -404,11 +417,15 @@ class CodeDistOrder(Approach):
         start: StartPolicy = StartPolicy.FARTHEST_PAIR,
         sources: SourceVectors | Mapping[TestCaseId, str] | None = None,
     ):
+        import numpy  # noqa: F401  (loaded here, outside any timed rank)
+
         self.metric = DistanceMetric(metric)
         self.start = StartPolicy(start)
         self._vectors = SourceVectors.of(sources)
 
     def rank(self, suite: Sequence[TestCaseId]) -> RankedSuite:
+        import numpy as np
+
         distances = self._vectors.distances(suite, self.metric)
         last = 0
         if self.start is StartPolicy.FARTHEST_PAIR:

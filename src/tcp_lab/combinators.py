@@ -18,9 +18,7 @@ import random
 from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from tcp_lab.approaches import (
     DEFAULT_ALPHA,
@@ -46,6 +44,12 @@ from tcp_lab.model import (
     flatten,
     ranked_from_scores,
 )
+
+# numpy is imported where it is used, and in the constructors of the combined
+# approaches that use it, so that it loads in ``build`` and never inside a
+# timed ``rank``; specs without such a node never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_SCHULZE_CAP = 1000
 
@@ -166,6 +170,8 @@ def pairwise_preferences(
     Weights are added in ranking order, so every sum is the same float as
     when accumulated one preference at a time.
     """
+    import numpy as np
+
     index = {case: i for i, case in enumerate(suite)}
     n = len(suite)
     d = np.zeros((n, n))
@@ -188,6 +194,8 @@ def strongest_paths(d: Sequence[Sequence[float]]) -> np.ndarray:
     the update equals the element-by-element loop. The diagonal is never
     read and is returned as given.
     """
+    import numpy as np
+
     p = np.array(d, dtype=np.float64).reshape(len(d), len(d))
     diagonal = p.diagonal().copy()
     through = np.empty_like(p)
@@ -297,6 +305,8 @@ def break_ties_codedist(
     farthest-pair start rule restricted to the first group. Distance ties
     resolve to the original order.
     """
+    import numpy as np
+
     cases = primary.cases()
     distances = vectors.distances(cases, metric)
     min_dist = np.full(len(cases), np.inf)
@@ -398,6 +408,8 @@ class SchulzeMixedOrder(_MixedOrder):
         children: Sequence[tuple[Approach, float]],
         max_suite: int = DEFAULT_SCHULZE_CAP,
     ):
+        import numpy  # noqa: F401  (loaded here, outside any timed rank)
+
         super().__init__(children)
         self.max_suite = max_suite
 
@@ -483,6 +495,8 @@ class CodeDistBrokenOrder(_Combined):
         metric: DistanceMetric = DistanceMetric.EUCLIDEAN,
         sources: SourceVectors | Mapping[TestCaseId, str] | None = None,
     ):
+        import numpy  # noqa: F401  (loaded here, outside any timed rank)
+
         super().__init__([primary])
         self.primary = primary
         self.metric = DistanceMetric(metric)

@@ -145,6 +145,40 @@ def _data_files(source: Path) -> list[Path]:
     raise DatasetError(PARSE_ERROR, f"no such file or directory: {source}")
 
 
+def _row_error(path: Path, reader, detail: str) -> DatasetError:
+    """PARSE_ERROR naming the row ``reader`` returned last."""
+    return DatasetError(PARSE_ERROR, f"{path.name}:{reader.line_num}: {detail}")
+
+
+class _CycleRows:
+    """One cycle's metadata and its executions by case, while parsing."""
+
+    __slots__ = ("job_id", "commit_id", "build_time", "executions")
+
+    def __init__(self, job_id: str, commit_id: str, build_time: float | None):
+        self.job_id = job_id
+        self.commit_id = commit_id
+        self.build_time = build_time
+        self.executions: dict[TestCaseId, TestExecution] = {}
+
+    def merge(self, job_id: str, commit_id: str, build_time: float | None) -> str | None:
+        """Take in a further row's metadata; describe its conflict, if any.
+
+        An unknown (None) build time never conflicts, and a known one fills
+        in the cycle's if that is still unknown.
+        """
+        if job_id != self.job_id:
+            return f"job_id {job_id!r} differs from {self.job_id!r}"
+        if commit_id != self.commit_id:
+            return f"commit_id {commit_id!r} differs from {self.commit_id!r}"
+        if build_time is not None:
+            if self.build_time is None:
+                self.build_time = build_time
+            elif build_time != self.build_time:
+                return f"build_time {build_time!r} differs from {self.build_time!r}"
+        return None
+
+
 def ingest(
     source: Path | str,
     mapping: ColumnMapping,
@@ -154,87 +188,93 @@ def ingest(
     """Parse delimiter-separated execution records into a project history.
 
     ``source`` is a data file or a directory of them (read in name order).
-    Rows whose duration or verdict cannot be interpreted (including
-    non-finite durations and build times) are skipped and
+    Each file's first row is its header; a repeated column name refers to
+    its last column, blank lines are skipped and missing trailing cells
+    read as empty. Rows whose duration or verdict cannot be interpreted
+    (including non-finite durations and build times) are skipped and
     counted in ``rejected_rows``; structurally invalid rows (bad cycle
     ordinal, empty test name, negative duration, duplicate case within a
-    cycle) abort with PARSE_ERROR naming the offending row.
+    cycle, a job id, commit id or known build time differing from that of
+    the cycle's earlier rows) abort with PARSE_ERROR naming the offending
+    row.
     """
     source = Path(source)
     rejected = 0
-    cycles: dict[int, dict] = {}
+    cycles: dict[int, _CycleRows] = {}
     for path in _data_files(source):
         with path.open(newline="", encoding="utf-8") as handle:
-            reader = csv.DictReader(handle, delimiter=delimiter)
-            header = reader.fieldnames or []
+            reader = csv.reader(handle, delimiter=delimiter)
+            header = next(reader, None) or []
+            columns = {name: i for i, name in enumerate(header)}
             for field in ColumnMapping.REQUIRED:
                 column = getattr(mapping, field)
-                if column not in header:
+                if column not in columns:
                     raise DatasetError(
                         MISSING_COLUMN, f"{path.name}: no column {column!r} for {field}"
                     )
-            has_build_time = mapping.build_time is not None and mapping.build_time in header
+            cycle_at, job_at, commit_at, name_at, duration_at, verdict_at = (
+                columns[getattr(mapping, field)] for field in ColumnMapping.REQUIRED
+            )
+            build_at = columns.get(mapping.build_time)
+            width = len(header)
             for row in reader:
-                where = f"{path.name}:{reader.line_num}"
+                if not row:
+                    continue
+                if len(row) < width:
+                    row += [None] * (width - len(row))
                 try:
-                    cycle_index = int(row[mapping.cycle_order])
+                    cycle_index = int(row[cycle_at])
                 except (TypeError, ValueError):
-                    raise DatasetError(
-                        PARSE_ERROR, f"{where}: bad cycle ordinal {row[mapping.cycle_order]!r}"
+                    raise _row_error(
+                        path, reader, f"bad cycle ordinal {row[cycle_at]!r}"
                     ) from None
-                name = (row[mapping.test_name] or "").strip()
+                name = (row[name_at] or "").strip()
                 if not name:
-                    raise DatasetError(PARSE_ERROR, f"{where}: empty test name")
-                duration = _parse_duration(row[mapping.duration] or "")
-                verdict = _parse_verdict(row[mapping.verdict] or "")
+                    raise _row_error(path, reader, "empty test name")
+                duration = _parse_duration(row[duration_at] or "")
+                verdict = _parse_verdict(row[verdict_at] or "")
                 if duration is None or verdict is None:
                     rejected += 1
                     continue
                 if duration < 0:
-                    raise DatasetError(
-                        PARSE_ERROR, f"{where}: negative duration {duration}"
-                    )
+                    raise _row_error(path, reader, f"negative duration {duration}")
                 build_time: float | None = None
-                if has_build_time:
-                    raw = (row[mapping.build_time] or "").strip()
+                if build_at is not None:
+                    raw = (row[build_at] or "").strip()
                     if raw:
                         build_time = _parse_duration(raw)
                         if build_time is None:
                             rejected += 1
                             continue
                         if build_time < 0:
-                            raise DatasetError(
-                                PARSE_ERROR, f"{where}: negative build time {build_time}"
+                            raise _row_error(
+                                path, reader, f"negative build time {build_time}"
                             )
-                cycle = cycles.setdefault(
-                    cycle_index,
-                    {
-                        "job_id": (row[mapping.job_id] or "").strip(),
-                        "commit_id": (row[mapping.commit_id] or "").strip(),
-                        "build_time": build_time,
-                        "executions": [],
-                        "seen": set(),
-                    },
-                )
-                if name in cycle["seen"]:
-                    raise DatasetError(
-                        PARSE_ERROR, f"{where}: duplicate test {name!r} in cycle {cycle_index}"
+                job_id = (row[job_at] or "").strip()
+                commit_id = (row[commit_at] or "").strip()
+                cycle = cycles.get(cycle_index)
+                if cycle is None:
+                    cycle = cycles[cycle_index] = _CycleRows(job_id, commit_id, build_time)
+                else:
+                    conflict = cycle.merge(job_id, commit_id, build_time)
+                    if conflict is not None:
+                        raise _row_error(path, reader, f"{conflict} in cycle {cycle_index}")
+                if name in cycle.executions:
+                    raise _row_error(
+                        path, reader, f"duplicate test {name!r} in cycle {cycle_index}"
                     )
-                cycle["seen"].add(name)
-                if cycle["build_time"] is None and build_time is not None:
-                    cycle["build_time"] = build_time
-                cycle["executions"].append(TestExecution(name, duration, verdict))
+                cycle.executions[name] = TestExecution(name, duration, verdict)
     if not cycles:
         raise DatasetError(EMPTY_HISTORY, f"no usable execution rows under {source}")
     records = tuple(
         CycleRecord(
             index=index,
-            job_id=data["job_id"],
-            commit_id=data["commit_id"],
-            build_time=data["build_time"],
-            executions=tuple(data["executions"]),
+            job_id=cycle.job_id,
+            commit_id=cycle.commit_id,
+            build_time=cycle.build_time,
+            executions=tuple(cycle.executions.values()),
         )
-        for index, data in sorted(cycles.items())
+        for index, cycle in sorted(cycles.items())
     )
     return IngestResult(ProjectHistory(project, records), rejected)
 

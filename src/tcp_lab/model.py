@@ -15,6 +15,7 @@ import enum
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, groupby
 from typing import Iterable, Mapping, Sequence
 
@@ -93,12 +94,14 @@ class CycleRecord:
                 )
             seen.add(execution.case)
 
-    @property
+    # cached_property stores into the instance __dict__, bypassing the frozen
+    # __setattr__; the cached values take no part in equality, hash or repr
+    @cached_property
     def suite(self) -> tuple[TestCaseId, ...]:
         """Case ids in original execution order."""
         return tuple(e.case for e in self.executions)
 
-    @property
+    @cached_property
     def failed(self) -> bool:
         """A cycle is failed iff at least one execution failed."""
         return any(e.failed for e in self.executions)

@@ -7,19 +7,33 @@ and tiebreak loops that the numpy kernels must reproduce exactly. The last
 section keeps the replay harness's earlier per-cycle path (a case dict per
 cycle and metric, bounds recomputed on every call) and the earlier
 ``ranked_from_scores``, ``flatten`` and ``random_mix``, which the lean
-versions must also reproduce exactly.
+versions must also reproduce exactly. The final section keeps the
+``csv.DictReader`` history parser that the one-pass ``ingest`` replaces.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import random
 from itertools import permutations
+from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from tcp_lab import metrics
 from tcp_lab.approaches import DistanceMetric, StartPolicy, safe_distance, tokenize
 from tcp_lab.combinators import _check_weights, build, spec_is_randomized
+from tcp_lab.dataset import (
+    EMPTY_HISTORY,
+    MISSING_COLUMN,
+    PARSE_ERROR,
+    ColumnMapping,
+    DatasetError,
+    IngestResult,
+    _data_files,
+    _parse_duration,
+    _parse_verdict,
+)
 from tcp_lab.evaluation import (
     APFD_FAMILY,
     ApproachOutcome,
@@ -555,3 +569,98 @@ def random_mix_oracle(
         emitted.add(queue[p])
         order.append(queue[p])
     return RankedSuite(tuple((case,) for case in order))
+
+
+# --- the history parser before the one-pass csv.reader version ----------------
+
+
+def ingest_oracle(
+    source: Path | str,
+    mapping: ColumnMapping,
+    project: str,
+    delimiter: str = ",",
+) -> IngestResult:
+    """``ingest`` through ``csv.DictReader``, one dict per row.
+
+    A cycle keeps the job and commit of its first row and its first known
+    build time; later rows are not checked against them. Errors name the
+    row's own line even after blank lines: reading ``fieldnames`` in
+    ``DictReader.__next__`` resets ``line_num`` once the blanks are skipped.
+    """
+    source = Path(source)
+    rejected = 0
+    cycles: dict[int, dict] = {}
+    for path in _data_files(source):
+        with path.open(newline="", encoding="utf-8") as handle:
+            reader = csv.DictReader(handle, delimiter=delimiter)
+            header = reader.fieldnames or []
+            for field in ColumnMapping.REQUIRED:
+                column = getattr(mapping, field)
+                if column not in header:
+                    raise DatasetError(
+                        MISSING_COLUMN, f"{path.name}: no column {column!r} for {field}"
+                    )
+            has_build_time = mapping.build_time is not None and mapping.build_time in header
+            for row in reader:
+                where = f"{path.name}:{reader.line_num}"
+                try:
+                    cycle_index = int(row[mapping.cycle_order])
+                except (TypeError, ValueError):
+                    raise DatasetError(
+                        PARSE_ERROR, f"{where}: bad cycle ordinal {row[mapping.cycle_order]!r}"
+                    ) from None
+                name = (row[mapping.test_name] or "").strip()
+                if not name:
+                    raise DatasetError(PARSE_ERROR, f"{where}: empty test name")
+                duration = _parse_duration(row[mapping.duration] or "")
+                verdict = _parse_verdict(row[mapping.verdict] or "")
+                if duration is None or verdict is None:
+                    rejected += 1
+                    continue
+                if duration < 0:
+                    raise DatasetError(
+                        PARSE_ERROR, f"{where}: negative duration {duration}"
+                    )
+                build_time: float | None = None
+                if has_build_time:
+                    raw = (row[mapping.build_time] or "").strip()
+                    if raw:
+                        build_time = _parse_duration(raw)
+                        if build_time is None:
+                            rejected += 1
+                            continue
+                        if build_time < 0:
+                            raise DatasetError(
+                                PARSE_ERROR, f"{where}: negative build time {build_time}"
+                            )
+                cycle = cycles.setdefault(
+                    cycle_index,
+                    {
+                        "job_id": (row[mapping.job_id] or "").strip(),
+                        "commit_id": (row[mapping.commit_id] or "").strip(),
+                        "build_time": build_time,
+                        "executions": [],
+                        "seen": set(),
+                    },
+                )
+                if name in cycle["seen"]:
+                    raise DatasetError(
+                        PARSE_ERROR, f"{where}: duplicate test {name!r} in cycle {cycle_index}"
+                    )
+                cycle["seen"].add(name)
+                if cycle["build_time"] is None and build_time is not None:
+                    cycle["build_time"] = build_time
+                cycle["executions"].append(TestExecution(name, duration, verdict))
+    if not cycles:
+        raise DatasetError(EMPTY_HISTORY, f"no usable execution rows under {source}")
+    records = tuple(
+        CycleRecord(
+            index=index,
+            job_id=data["job_id"],
+            commit_id=data["commit_id"],
+            build_time=data["build_time"],
+            executions=tuple(data["executions"]),
+        )
+        for index, data in sorted(cycles.items())
+    )
+    return IngestResult(ProjectHistory(project, records), rejected)

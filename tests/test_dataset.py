@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import ingest_oracle
 from synth import cycle, random_history
 from tcp_lab.dataset import (
+    CANONICAL_HEADER,
     CHECKOUT_UNREADABLE,
     EMPTY_HISTORY,
     MISSING_COLUMN,
@@ -75,6 +83,12 @@ class TestIngest:
         assert err.value.code == PARSE_ERROR
         assert "data.csv:2" in err.value.detail
 
+    def test_error_after_blank_lines_names_the_rows_own_line(self, tmp_path):
+        path = write_source(tmp_path, "1,j,c,alpha,1.0,pass\n\n\n1,j,c,beta,-2.0,pass\n")
+        with pytest.raises(DatasetError) as err:
+            ingest(path, MAPPING, "demo")
+        assert err.value.detail == "data.csv:5: negative duration -2.0"
+
     def test_unparseable_rows_rejected_with_count(self, tmp_path):
         path = write_source(
             tmp_path,
@@ -117,6 +131,176 @@ class TestIngest:
         history = ingest(path, MAPPING, "demo").history
         verdicts = {e.case: e.verdict for e in history.cycles[0].executions}
         assert verdicts == {"a": Verdict.PASS, "b": Verdict.FAIL}
+
+
+class TestCycleMetadataConflicts:
+    @pytest.mark.parametrize(
+        "second_row, named",
+        [
+            ("1,j2,c,beta,1.0,pass\n", "job_id 'j2' differs from 'j'"),
+            ("1,j,c2,beta,1.0,pass\n", "commit_id 'c2' differs from 'c'"),
+        ],
+    )
+    def test_conflicting_job_or_commit_is_parse_error(self, tmp_path, second_row, named):
+        path = write_source(tmp_path, "1,j,c,alpha,1.0,pass\n" + second_row)
+        with pytest.raises(DatasetError) as err:
+            ingest(path, MAPPING, "demo")
+        assert err.value.code == PARSE_ERROR
+        assert err.value.detail == f"data.csv:3: {named} in cycle 1"
+
+    def test_conflicting_build_time_is_parse_error(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text(
+            ",".join(CANONICAL_HEADER) + "\n"
+            "0,j,c,60.0,0,a,1.0,pass\n"
+            "0,j,c,,1,b,1.0,pass\n"
+            "0,j,c,61.5,2,c,1.0,fail\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DatasetError) as err:
+            read_canonical(path)
+        assert err.value.code == PARSE_ERROR
+        assert err.value.detail == "h.csv:4: build_time 61.5 differs from 60.0 in cycle 0"
+
+    def test_empty_build_time_is_unknown_not_a_conflict(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text(
+            ",".join(CANONICAL_HEADER) + "\n"
+            "0,j,c,,0,a,1.0,pass\n"
+            "0,j,c,60.0,1,b,1.0,pass\n"
+            "0,j,c,,2,c,1.0,fail\n"
+            "0,j,c,60,3,d,1.0,pass\n",
+            encoding="utf-8",
+        )
+        (only,) = read_canonical(path).cycles
+        assert only.build_time == 60.0
+        assert only.suite == ("a", "b", "c", "d")
+
+    def test_conflict_across_files_names_the_later_row(self, tmp_path):
+        write_source(tmp_path, "1,j1,c1,a,1.0,pass\n", name="a.csv")
+        write_source(tmp_path, "\n1,j1,c9,b,1.0,pass\n", name="b.csv")
+        with pytest.raises(DatasetError) as err:
+            ingest(tmp_path, MAPPING, "demo")
+        assert err.value.detail == "b.csv:3: commit_id 'c9' differs from 'c1' in cycle 1"
+
+
+# --- one-pass parser against the csv.DictReader oracle -----------------------
+
+_FIELDS = ("cycle", "job", "commit", "name", "duration", "verdict", "build")
+_DURATIONS = ["1.5", "0", "2", " 0.25 ", "1e3", "-0.0", "3"] * 3 + ["inf", "nan", "-inf", "x", ""]
+_VERDICTS = ["pass", "fail"] * 4 + ["PASS", " Fail ", "0", "3", "ok", "broken", "weird", ""]
+_BUILD_TIMES = ["", "60", "12.5", " 7 ", "0", "inf", "nan", "bad"]
+_CASES = ["a", "b", " c ", "d.E", "f\ng"]
+# at most one fatal row per history, so that most histories parse
+_FAULTS = [None] * 16 + [
+    ("cycle", "x"), ("cycle", ""), ("cycle", "1.5"), ("name", ""), ("name", "  "),
+    ("duration", "-2"), ("build", "-3"), ("duplicate", None),
+]
+
+
+@st.composite
+def _history_files(draw):
+    """Files of one history with shuffled, extra and repeated columns.
+
+    Each cycle's job, commit and known build time agree across its rows
+    (up to padding), so both parsers see no metadata conflicts.
+    """
+    delimiter = draw(st.sampled_from([",", ";", "\t", "|"]))
+    names = dict(zip(_FIELDS, draw(st.sampled_from([
+        ("cycle", "job_id", "commit_id", "test_name", "duration", "verdict", "build_time"),
+        ("build", "job", "sha", "test", "secs", "outcome", "bt"),
+    ]))))
+    build_mapped = draw(st.booleans())
+    mapping = ColumnMapping(
+        cycle_order=names["cycle"],
+        job_id=names["job"],
+        commit_id=names["commit"],
+        test_name=names["name"],
+        duration=names["duration"],
+        verdict=names["verdict"],
+        build_time=names["build"] if build_mapped else None,
+    )
+    field_of = {name: field for field, name in names.items()}
+    rows = []
+    for index in range(draw(st.sampled_from([0, 1, 2, 3, 4, 4]))):
+        build = draw(st.sampled_from(_BUILD_TIMES))
+        for case in draw(st.lists(st.sampled_from(_CASES), unique=True, min_size=1, max_size=4)):
+            pad = draw(st.sampled_from(["", " "]))
+            rows.append({
+                "cycle": f"{pad}{index}",
+                "job": f"{pad}job-{index}{pad}",
+                "commit": f"c{index}{pad}",
+                "name": case,
+                "duration": draw(st.sampled_from(_DURATIONS)),
+                "verdict": draw(st.sampled_from(_VERDICTS)),
+                "build": draw(st.sampled_from([build, build, ""])),
+            })
+    fault = draw(st.sampled_from(_FAULTS))
+    if rows and fault is not None:
+        row = draw(st.sampled_from(rows))
+        field, token = fault
+        if field == "duplicate":
+            rows.append(dict(row))
+        else:
+            row[field] = token
+    rows = draw(st.permutations(rows))
+    files = {}
+    cut = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=2)))
+    for number, (start, stop) in enumerate(zip([0] + cut, cut + [len(rows)])):
+        fields = list(_FIELDS if draw(st.booleans()) else _FIELDS[:-1])
+        if draw(st.sampled_from([False] * 19 + [True])):
+            fields.remove(draw(st.sampled_from(fields)))
+        header = [names[field] for field in fields] + draw(
+            st.lists(st.sampled_from(["position", "extra"]), max_size=2)
+        )
+        header = list(draw(st.permutations(header)))
+        # an earlier column of the same name holds junk; the last one counts
+        for name in draw(st.lists(st.sampled_from(header), max_size=2)):
+            header.insert(draw(st.integers(0, header.index(name))), name)
+        last = {name: i for i, name in enumerate(header)}
+        keep = max(last.get(names["job"], 0), last.get(names["commit"], 0)) + 1
+        out = io.StringIO()
+        writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows[start:stop]:
+            cells = [
+                row[field_of[name]] if name in field_of and last[name] == i else "junk"
+                for i, name in enumerate(header)
+            ]
+            shape = draw(st.sampled_from(range(20)))
+            if shape == 0:
+                cells = cells[: draw(st.integers(min(keep, len(cells)), len(cells)))]
+            elif shape == 1:
+                cells += ["more"] * draw(st.integers(1, 2))
+            elif shape == 2:
+                out.write("\n" * draw(st.integers(1, 2)))  # blank lines
+            writer.writerow(cells)
+        files[f"part{number}.csv"] = out.getvalue()
+    return files, mapping, delimiter
+
+
+def _outcome(parse, source, mapping, delimiter):
+    try:
+        result = parse(source, mapping, "demo", delimiter=delimiter)
+    except DatasetError as error:
+        return ("error", error.code, error.detail)
+    return ("ok", repr(result), result)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_history_files())
+def test_ingest_matches_dict_reader_oracle(case):
+    files, mapping, delimiter = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, text in files.items():
+            (root / name).write_text(text, encoding="utf-8")
+        (root / ".hidden.csv").write_text("not,a,history\n", encoding="utf-8")
+        sources = [root] + ([root / "part0.csv"] if len(files) == 1 else [])
+        for source in sources:
+            assert _outcome(ingest, source, mapping, delimiter) == _outcome(
+                ingest_oracle, source, mapping, delimiter
+            )
 
 
 class TestCanonicalRoundTrip:

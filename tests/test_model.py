@@ -128,6 +128,20 @@ class TestDataInvariants:
         assert failing.failed
         assert history.failed_cycles == (failing,)
 
+    def test_suite_and_failed_are_computed_once(self):
+        executions = (
+            TestExecution("a", 1.0, Verdict.PASS),
+            TestExecution("b", 2.0, Verdict.FAIL),
+        )
+        record = CycleRecord(0, "j", "c", None, executions)
+        suite = record.suite
+        assert suite == ("a", "b") and record.failed is True
+        assert record.suite is suite
+        # the cached values take no part in equality, hashing or repr
+        fresh = CycleRecord(0, "j", "c", None, executions)
+        assert record == fresh and hash(record) == hash(fresh)
+        assert repr(record) == repr(fresh)
+
 
 class TestRankedFromScores:
     def test_groups_equal_scores_preserving_order(self):
