@@ -20,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from tcp_lab.combinators import InvalidSpecError, build, presets
+from tcp_lab.combinators import PRESETS, InvalidSpecError, build
 from tcp_lab.dataset import (
     ColumnMapping,
     DatasetError,
@@ -128,7 +128,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_prioritize(args: argparse.Namespace) -> int:
     try:
         if args.preset:
-            if args.preset not in presets():
+            if args.preset not in PRESETS:
                 raise InvalidSpecError(f"unknown preset {args.preset!r}")
             spec = args.preset
         else:

@@ -13,15 +13,17 @@ the preset table of ready-made combined approaches.
 
 from __future__ import annotations
 
+import enum
 import math
 import random
 from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from tcp_lab.approaches import (
     DEFAULT_ALPHA,
+    AlphaRangeError,
     BaseOrder,
     CodeDistOrder,
     DistanceMetric,
@@ -259,11 +261,11 @@ def interpolate_weights(cutoff: Cutoff) -> tuple[float, float]:
     return 1.0 - f, f
 
 
-class CountMode:
+class CountMode(enum.Enum):
+    """Which replayed cycles advance an interpolator's progress."""
+
     FAILED_CYCLES = "failed_cycles"
     ALL_CYCLES = "all_cycles"
-
-    _VALUES = (FAILED_CYCLES, ALL_CYCLES)
 
 
 def break_ties(primary: RankedSuite, secondary: RankedSuite) -> RankedSuite:
@@ -341,6 +343,13 @@ class _Combined(Approach):
         for child in self._children:
             child.reset()
 
+    def _active(self, weights: Sequence[float]) -> tuple[list[Approach], list[float]]:
+        """The children with positive weight, and their weights."""
+        active = [
+            (child, weight) for child, weight in zip(self._children, weights) if weight > 0
+        ]
+        return [c for c, _ in active], [w for _, w in active]
+
 
 class _MixedOrder(_Combined):
     """Base for mixers: weighted children, zero-weight ones never ranked."""
@@ -353,14 +362,6 @@ class _MixedOrder(_Combined):
         _check_weights(weights, len(children))
         super().__init__(approaches)
         self._weights = weights
-
-    def _active(self) -> tuple[list[Approach], list[float]]:
-        active = [
-            (child, weight)
-            for child, weight in zip(self._children, self._weights)
-            if weight > 0
-        ]
-        return [c for c, _ in active], [w for _, w in active]
 
 
 class RandomMixedOrder(_MixedOrder):
@@ -376,7 +377,7 @@ class RandomMixedOrder(_MixedOrder):
         self._cycle_seed = self._stream.getrandbits(64)
 
     def rank(self, suite: Sequence[TestCaseId]) -> RankedSuite:
-        children, weights = self._active()
+        children, weights = self._active(self._weights)
         queues = [
             flatten(child.rank(suite), FlattenPolicy.STABLE) for child in children
         ]
@@ -395,7 +396,7 @@ class BordaMixedOrder(_MixedOrder):
     """Mixer merging child rankings by weighted Borda count."""
 
     def rank(self, suite: Sequence[TestCaseId]) -> RankedSuite:
-        children, weights = self._active()
+        children, weights = self._active(self._weights)
         rankings = [child.rank(suite) for child in children]
         return borda_mix(rankings, weights, suite=suite)
 
@@ -414,7 +415,7 @@ class SchulzeMixedOrder(_MixedOrder):
         self.max_suite = max_suite
 
     def rank(self, suite: Sequence[TestCaseId]) -> RankedSuite:
-        children, weights = self._active()
+        children, weights = self._active(self._weights)
         rankings = [child.rank(suite) for child in children]
         return schulze_mix(rankings, weights, suite=suite, max_suite=self.max_suite)
 
@@ -433,17 +434,15 @@ class InterpolatedOrder(_Combined):
         before: Approach,
         after: Approach,
         cutoff: int,
-        count_mode: str = CountMode.FAILED_CYCLES,
+        count_mode: CountMode = CountMode.FAILED_CYCLES,
     ):
         super().__init__([before, after])
         if cutoff < 1:
             raise ValueError("cutoff must be >= 1")
-        if count_mode not in CountMode._VALUES:
-            raise ValueError(f"unknown count mode: {count_mode!r}")
         self.before = before
         self.after = after
         self.cutoff = cutoff
-        self.count_mode = count_mode
+        self.count_mode = CountMode(count_mode)
         self._progress = 0
 
     @property
@@ -451,20 +450,15 @@ class InterpolatedOrder(_Combined):
         return self._progress
 
     def rank(self, suite: Sequence[TestCaseId]) -> RankedSuite:
-        weight_before, weight_after = interpolate_weights(
-            Cutoff(self.cutoff, self._progress)
+        children, weights = self._active(
+            interpolate_weights(Cutoff(self.cutoff, self._progress))
         )
-        active = [
-            (child, weight)
-            for child, weight in ((self.before, weight_before), (self.after, weight_after))
-            if weight > 0
-        ]
-        rankings = [child.rank(suite) for child, _ in active]
-        return borda_mix(rankings, [w for _, w in active], suite=suite)
+        rankings = [child.rank(suite) for child in children]
+        return borda_mix(rankings, weights, suite=suite)
 
     def observe(self, executions: Sequence[TestExecution]) -> None:
         super().observe(executions)
-        if self.count_mode == CountMode.ALL_CYCLES or any(
+        if self.count_mode is CountMode.ALL_CYCLES or any(
             e.failed for e in executions
         ):
             self._progress += 1
@@ -509,51 +503,134 @@ class CodeDistBrokenOrder(_Combined):
 # --- declarative spec trees ------------------------------------------------
 
 _ORDER_SUFFIX = "_order"
+_REQUIRED = object()
 
-_LEAF_TYPES = {
-    "base",
-    "random",
-    "recentness",
-    "fold_fails",
-    "exe_time",
-    "fail_density",
-    "code_dist",
+
+def _number(key: str, value: object) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise InvalidSpecError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _positive_int(key: str, value: object) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise InvalidSpecError(f"{key} must be a positive integer, got {value!r}")
+    return value
+
+
+def _choice(kind: type[enum.Enum], label: str) -> Callable[[str, object], enum.Enum]:
+    def parse(key: str, value: object) -> enum.Enum:
+        try:
+            return kind(value)
+        except ValueError:
+            raise InvalidSpecError(f"unknown {label} {value!r}") from None
+
+    return parse
+
+
+@dataclass(frozen=True)
+class _NodeType:
+    """How one spec node type is checked and built.
+
+    ``params`` are ``(key, parser, default)`` triples, parsed in order and
+    passed to ``constructor`` by key; a ``_REQUIRED`` default makes the key
+    mandatory. ``slots`` name the child specs, passed positionally:
+    ``children`` is a mixer's list of weighted specs, any other slot holds
+    one spec and is mandatory. A ``randomized`` node takes an optional
+    ``seed`` and draws one from the tree's seed stream either way; a
+    ``sources`` node gets the tree's shared :class:`SourceVectors`.
+    """
+
+    constructor: Callable[..., Approach]
+    params: Sequence[tuple[str, Callable[[str, object], object], object]] = ()
+    slots: Sequence[str] = ()
+    randomized: bool = False
+    sources: bool = False
+
+
+_ALPHA = ("alpha", _number, DEFAULT_ALPHA)
+_METRIC = ("metric", _choice(DistanceMetric, "metric"), DistanceMetric.EUCLIDEAN)
+
+_NODE_TYPES = {
+    "base": _NodeType(BaseOrder),
+    "random": _NodeType(RandomOrder, randomized=True),
+    "recentness": _NodeType(RecentnessOrder),
+    "fold_fails": _NodeType(
+        FoldFailsOrder, params=[("folder", _choice(Folder, "folder"), Folder.SUM), _ALPHA]
+    ),
+    "exe_time": _NodeType(ExeTimeOrder, params=[_ALPHA]),
+    "fail_density": _NodeType(
+        FailDensityOrder,
+        params=[("alpha_fail", _number, DEFAULT_ALPHA), ("alpha_time", _number, DEFAULT_ALPHA)],
+    ),
+    "code_dist": _NodeType(
+        CodeDistOrder,
+        params=[
+            _METRIC,
+            ("start", _choice(StartPolicy, "start policy"), StartPolicy.FARTHEST_PAIR),
+        ],
+        sources=True,
+    ),
+    "random_mix": _NodeType(RandomMixedOrder, slots=["children"], randomized=True),
+    "borda_mix": _NodeType(BordaMixedOrder, slots=["children"]),
+    "schulze_mix": _NodeType(
+        SchulzeMixedOrder,
+        params=[("max_suite", _positive_int, DEFAULT_SCHULZE_CAP)],
+        slots=["children"],
+    ),
+    "interpolated": _NodeType(
+        InterpolatedOrder,
+        params=[
+            ("cutoff", _positive_int, _REQUIRED),
+            ("count_mode", _choice(CountMode, "count_mode"), CountMode.FAILED_CYCLES),
+        ],
+        slots=["before", "after"],
+    ),
+    "break_ties": _NodeType(GenericBrokenOrder, slots=["primary", "secondary"]),
+    "break_ties_codedist": _NodeType(
+        CodeDistBrokenOrder, params=[_METRIC], slots=["primary"], sources=True
+    ),
 }
-_COMBINATOR_TYPES = {
-    "random_mix",
-    "borda_mix",
-    "schulze_mix",
-    "interpolated",
-    "break_ties",
-    "break_ties_codedist",
+
+# The three-way mixers blend failure folding, recentness, and execution time
+# with the execution-time weight halved; the interpolator hands over from an
+# equal Borda mix of execution time and recentness to failure density after
+# five failed cycles; the tiebreakers refine the clusters of total-strategy
+# failure folding.
+_MIXER_CHILDREN = [
+    {"weight": 1, "spec": {"type": "fold_fails", "folder": "exp_smooth"}},
+    {"weight": 1, "spec": {"type": "recentness"}},
+    {"weight": 0.5, "spec": {"type": "exe_time"}},
+]
+
+PRESETS: dict[str, Mapping] = {
+    "P1.1": {"type": "random_mix", "children": _MIXER_CHILDREN},
+    "P1.2": {"type": "borda_mix", "children": _MIXER_CHILDREN},
+    "P1.3": {"type": "schulze_mix", "children": _MIXER_CHILDREN},
+    "P2": {
+        "type": "interpolated",
+        "before": {
+            "type": "borda_mix",
+            "children": [
+                {"weight": 1, "spec": {"type": "exe_time"}},
+                {"weight": 1, "spec": {"type": "recentness"}},
+            ],
+        },
+        "after": {"type": "fail_density"},
+        "cutoff": 5,
+        "count_mode": "failed_cycles",
+    },
+    "P3.1": {
+        "type": "break_ties",
+        "primary": {"type": "fold_fails", "folder": "sum"},
+        "secondary": {"type": "exe_time"},
+    },
+    "P3.2": {
+        "type": "break_ties_codedist",
+        "primary": {"type": "fold_fails", "folder": "sum"},
+        "metric": "euclidean",
+    },
 }
-
-_ALLOWED_KEYS = {
-    "base": set(),
-    "random": {"seed"},
-    "recentness": set(),
-    "fold_fails": {"folder", "alpha"},
-    "exe_time": {"alpha"},
-    "fail_density": {"alpha_fail", "alpha_time"},
-    "code_dist": {"metric", "start"},
-    "random_mix": {"children", "seed"},
-    "borda_mix": {"children"},
-    "schulze_mix": {"children", "max_suite"},
-    "interpolated": {"before", "after", "cutoff", "count_mode"},
-    "break_ties": {"primary", "secondary"},
-    "break_ties_codedist": {"primary", "metric"},
-}
-
-
-def _canonical_type(raw: object) -> str:
-    if not isinstance(raw, str) or not raw:
-        raise InvalidSpecError(f"spec node needs a string 'type', got {raw!r}")
-    name = raw
-    if name.endswith(_ORDER_SUFFIX) and name[: -len(_ORDER_SUFFIX)] in _LEAF_TYPES:
-        name = name[: -len(_ORDER_SUFFIX)]
-    if name not in _LEAF_TYPES and name not in _COMBINATOR_TYPES:
-        raise InvalidSpecError(f"unknown approach type {raw!r}")
-    return name
 
 
 class _SeedAllocator:
@@ -561,28 +638,21 @@ class _SeedAllocator:
 
     def __init__(self, master_seed: int):
         self._rng = random.Random(master_seed)
+        self.draws = 0
 
-    def seed_for(self, node: Mapping) -> int:
-        explicit = node.get("seed")
+    def seed_for(self, explicit: object) -> int:
         drawn = self._rng.getrandbits(63)
+        self.draws += 1
         if explicit is None:
             return drawn
-        if not isinstance(explicit, int):
+        if not isinstance(explicit, int) or isinstance(explicit, bool):
             raise InvalidSpecError(f"seed must be an integer, got {explicit!r}")
         return explicit
 
 
-def _float_param(node: Mapping, key: str, default: float) -> float:
-    value = node.get(key, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise InvalidSpecError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
 def _build_children(
-    node: Mapping, builder
+    children: object, seeds: _SeedAllocator, sources: SourceVectors
 ) -> list[tuple[Approach, float]]:
-    children = node.get("children")
     if not isinstance(children, list) or not children:
         raise InvalidSpecError("a mixer needs a non-empty 'children' list")
     built: list[tuple[Approach, float]] = []
@@ -594,10 +664,57 @@ def _build_children(
         weight = entry.get("weight", 1)
         if not isinstance(weight, (int, float)) or isinstance(weight, bool) or weight < 0:
             raise InvalidSpecError(f"child weight must be >= 0, got {weight!r}")
-        built.append((builder(entry["spec"]), float(weight)))
+        if not math.isfinite(weight):
+            raise InvalidSpecError(f"child weight must be finite, got {weight!r}")
+        built.append((_construct(entry["spec"], seeds, sources), float(weight)))
     if not any(weight > 0 for _, weight in built):
         raise InvalidSpecError("a mixer needs at least one child with weight > 0")
     return built
+
+
+def _construct(
+    node: Mapping | str, seeds: _SeedAllocator, sources: SourceVectors
+) -> Approach:
+    if isinstance(node, str):
+        if node not in PRESETS:
+            raise InvalidSpecError(f"unknown preset {node!r}")
+        node = PRESETS[node]
+    if not isinstance(node, Mapping):
+        raise InvalidSpecError(f"spec node must be an object, got {node!r}")
+    raw = node.get("type")
+    if not isinstance(raw, str) or not raw:
+        raise InvalidSpecError(f"spec node needs a string 'type', got {raw!r}")
+    kind = raw.removesuffix(_ORDER_SUFFIX)
+    if kind not in _NODE_TYPES or (kind != raw and _NODE_TYPES[kind].slots):
+        kind = raw  # only leaf names take the suffix
+    node_type = _NODE_TYPES.get(kind)
+    if node_type is None:
+        raise InvalidSpecError(f"unknown approach type {raw!r}")
+    params = node_type.params
+    extra = set(node) - {"type", "comment", *node_type.slots, *(key for key, _, _ in params)}
+    if node_type.randomized:
+        extra.discard("seed")
+    if extra:
+        raise InvalidSpecError(f"unexpected keys {sorted(extra)} for type {kind!r}")
+    required = [slot for slot in node_type.slots if slot != "children"]
+    for key in required + [key for key, _, default in params if default is _REQUIRED]:
+        if key not in node:
+            raise InvalidSpecError(f"{kind} spec needs {key!r}")
+    kwargs = {key: parse(key, node.get(key, default)) for key, parse, default in params}
+    if node_type.randomized:
+        kwargs["seed"] = seeds.seed_for(node.get("seed"))
+    if node_type.sources:
+        kwargs["sources"] = sources
+    children = [
+        _build_children(node.get(slot), seeds, sources)
+        if slot == "children"
+        else _construct(node[slot], seeds, sources)
+        for slot in node_type.slots
+    ]
+    try:
+        return node_type.constructor(*children, **kwargs)
+    except AlphaRangeError as error:
+        raise InvalidSpecError(str(error)) from None
 
 
 def build(
@@ -614,171 +731,14 @@ def build(
     explicit ``seed`` get one derived deterministically from ``master_seed``
     and their position in the tree.
     """
-    seeds = _SeedAllocator(master_seed)
-    sources = SourceVectors.of(sources)
-
-    def construct(node: Mapping | str) -> Approach:
-        if isinstance(node, str):
-            table = presets()
-            if node not in table:
-                raise InvalidSpecError(f"unknown preset {node!r}")
-            return construct(table[node])
-        if not isinstance(node, Mapping):
-            raise InvalidSpecError(f"spec node must be an object, got {node!r}")
-        kind = _canonical_type(node.get("type"))
-        extra = set(node) - _ALLOWED_KEYS[kind] - {"type", "comment"}
-        if extra:
-            raise InvalidSpecError(
-                f"unexpected keys {sorted(extra)} for type {kind!r}"
-            )
-        if kind == "base":
-            return BaseOrder()
-        if kind == "random":
-            return RandomOrder(seed=seeds.seed_for(node))
-        if kind == "recentness":
-            return RecentnessOrder()
-        if kind == "fold_fails":
-            folder_raw = node.get("folder", "sum")
-            try:
-                folder = Folder(folder_raw)
-            except ValueError:
-                raise InvalidSpecError(f"unknown folder {folder_raw!r}") from None
-            return FoldFailsOrder(folder, alpha=_float_param(node, "alpha", DEFAULT_ALPHA))
-        if kind == "exe_time":
-            return ExeTimeOrder(alpha=_float_param(node, "alpha", DEFAULT_ALPHA))
-        if kind == "fail_density":
-            return FailDensityOrder(
-                alpha_fail=_float_param(node, "alpha_fail", DEFAULT_ALPHA),
-                alpha_time=_float_param(node, "alpha_time", DEFAULT_ALPHA),
-            )
-        if kind == "code_dist":
-            return CodeDistOrder(
-                metric=_metric_param(node),
-                start=_start_param(node),
-                sources=sources,
-            )
-        if kind == "random_mix":
-            seed = seeds.seed_for(node)
-            return RandomMixedOrder(_build_children(node, construct), seed=seed)
-        if kind == "borda_mix":
-            return BordaMixedOrder(_build_children(node, construct))
-        if kind == "schulze_mix":
-            cap = node.get("max_suite", DEFAULT_SCHULZE_CAP)
-            if not isinstance(cap, int) or cap < 1:
-                raise InvalidSpecError(f"max_suite must be a positive integer, got {cap!r}")
-            return SchulzeMixedOrder(_build_children(node, construct), max_suite=cap)
-        if kind == "interpolated":
-            for key in ("before", "after", "cutoff"):
-                if key not in node:
-                    raise InvalidSpecError(f"interpolated spec needs {key!r}")
-            cutoff = node["cutoff"]
-            if not isinstance(cutoff, int) or cutoff < 1:
-                raise InvalidSpecError(f"cutoff must be a positive integer, got {cutoff!r}")
-            count_mode = node.get("count_mode", CountMode.FAILED_CYCLES)
-            if count_mode not in CountMode._VALUES:
-                raise InvalidSpecError(f"unknown count_mode {count_mode!r}")
-            return InterpolatedOrder(
-                construct(node["before"]),
-                construct(node["after"]),
-                cutoff=cutoff,
-                count_mode=count_mode,
-            )
-        if kind == "break_ties":
-            for key in ("primary", "secondary"):
-                if key not in node:
-                    raise InvalidSpecError(f"break_ties spec needs {key!r}")
-            return GenericBrokenOrder(
-                construct(node["primary"]), construct(node["secondary"])
-            )
-        if kind == "break_ties_codedist":
-            if "primary" not in node:
-                raise InvalidSpecError("break_ties_codedist spec needs 'primary'")
-            return CodeDistBrokenOrder(
-                construct(node["primary"]),
-                metric=_metric_param(node),
-                sources=sources,
-            )
-        raise InvalidSpecError(f"unknown approach type {kind!r}")  # pragma: no cover
-
-    def _metric_param(node: Mapping) -> DistanceMetric:
-        raw = node.get("metric", DistanceMetric.EUCLIDEAN.value)
-        try:
-            return DistanceMetric(raw)
-        except ValueError:
-            raise InvalidSpecError(f"unknown metric {raw!r}") from None
-
-    def _start_param(node: Mapping) -> StartPolicy:
-        raw = node.get("start", StartPolicy.FARTHEST_PAIR.value)
-        try:
-            return StartPolicy(raw)
-        except ValueError:
-            raise InvalidSpecError(f"unknown start policy {raw!r}") from None
-
-    return construct(spec)
+    return _construct(spec, _SeedAllocator(master_seed), SourceVectors.of(sources))
 
 
 def spec_is_randomized(spec: Mapping | str) -> bool:
-    """True if the spec tree (or named preset) contains a randomized node."""
-    if isinstance(spec, str):
-        table = presets()
-        if spec not in table:
-            raise InvalidSpecError(f"unknown preset {spec!r}")
-        return spec_is_randomized(table[spec])
-    if not isinstance(spec, Mapping):
-        raise InvalidSpecError(f"spec node must be an object, got {spec!r}")
-    kind = _canonical_type(spec.get("type"))
-    if kind in ("random", "random_mix"):
-        return True
-    nested: list[Mapping | str] = []
-    for child in spec.get("children", []) or []:
-        if isinstance(child, Mapping) and "spec" in child:
-            nested.append(child["spec"])
-    for key in ("before", "after", "primary", "secondary"):
-        if key in spec:
-            nested.append(spec[key])
-    return any(spec_is_randomized(sub) for sub in nested)
+    """True if the spec tree (or named preset) contains a randomized node.
 
-
-def presets() -> dict[str, Mapping]:
-    """Named ready-made combinator specs.
-
-    The three-way mixers blend failure folding, recentness, and execution
-    time with the execution-time weight halved; the interpolator hands over
-    from an equal Borda mix of execution time and recentness to failure
-    density after five failed cycles; the tiebreakers refine the clusters of
-    total-strategy failure folding.
+    The spec is built once; an invalid one raises :class:`InvalidSpecError`.
     """
-    mixer_children = [
-        {"weight": 1, "spec": {"type": "fold_fails", "folder": "exp_smooth"}},
-        {"weight": 1, "spec": {"type": "recentness"}},
-        {"weight": 0.5, "spec": {"type": "exe_time"}},
-    ]
-    interpolator_before = {
-        "type": "borda_mix",
-        "children": [
-            {"weight": 1, "spec": {"type": "exe_time"}},
-            {"weight": 1, "spec": {"type": "recentness"}},
-        ],
-    }
-    return {
-        "P1.1": {"type": "random_mix", "children": mixer_children},
-        "P1.2": {"type": "borda_mix", "children": mixer_children},
-        "P1.3": {"type": "schulze_mix", "children": mixer_children},
-        "P2": {
-            "type": "interpolated",
-            "before": interpolator_before,
-            "after": {"type": "fail_density"},
-            "cutoff": 5,
-            "count_mode": "failed_cycles",
-        },
-        "P3.1": {
-            "type": "break_ties",
-            "primary": {"type": "fold_fails", "folder": "sum"},
-            "secondary": {"type": "exe_time"},
-        },
-        "P3.2": {
-            "type": "break_ties_codedist",
-            "primary": {"type": "fold_fails", "folder": "sum"},
-            "metric": "euclidean",
-        },
-    }
+    seeds = _SeedAllocator(0)
+    _construct(spec, seeds, SourceVectors(None))
+    return seeds.draws > 0

@@ -392,12 +392,19 @@ def attach_sources(
     if commit_resolver is None:
         commit_resolver = lambda commit: checkout_root  # noqa: E731
     sources: dict[TestCaseId, str] = dict(history.sources)
-    for cycle in history.cycles:
+    resolved: set[TestCaseId] = set()
+    tried: set[tuple[Path, TestCaseId]] = set()
+    # The latest resolvable cycle wins, so walk back from the last cycle and
+    # look each case up at most once per tree until it is found.
+    for cycle in reversed(history.cycles):
         tree = commit_resolver(cycle.commit_id)
         if tree is None:
             continue
         tree = Path(tree)
         for case in cycle.suite:
+            if case in resolved or (tree, case) in tried:
+                continue
+            tried.add((tree, case))
             for candidate in package_path_candidates(case, suffixes, roots):
                 path = tree / candidate
                 if path.is_file():
@@ -405,6 +412,7 @@ def attach_sources(
                         sources[case] = path.read_text(encoding="utf-8", errors="replace")
                     except OSError:
                         continue
+                    resolved.add(case)
                     break
     return ProjectHistory(history.project, history.cycles, sources)
 

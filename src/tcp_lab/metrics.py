@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, compress, count
 from operator import add
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from tcp_lab.model import CycleRecord, TestCaseId
 
@@ -345,32 +345,3 @@ def mean_median(values: Sequence[float]) -> tuple[float, float]:
     if not values:
         raise NoDataError("empty population")
     return statistics.mean(values), statistics.median(values)
-
-
-@dataclass(frozen=True)
-class Aggregate:
-    """Per-project and cross-project aggregation of per-cycle values.
-
-    Cross-project rows are the unweighted mean and median of the available
-    per-project means; projects with no data do not contribute.
-    """
-
-    per_project: dict[str, tuple[float, float]]
-    cross_mean: float
-    cross_median: float
-
-
-def aggregate(values_by_project: Mapping[str, Sequence[float]]) -> Aggregate:
-    per_project = {
-        project: mean_median(values)
-        for project, values in values_by_project.items()
-        if values
-    }
-    if not per_project:
-        raise NoDataError("no project has any data")
-    project_means = [mean for mean, _ in per_project.values()]
-    return Aggregate(
-        per_project=per_project,
-        cross_mean=statistics.mean(project_means),
-        cross_median=statistics.median(project_means),
-    )

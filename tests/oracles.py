@@ -7,8 +7,10 @@ and tiebreak loops that the numpy kernels must reproduce exactly. The last
 section keeps the replay harness's earlier per-cycle path (a case dict per
 cycle and metric, bounds recomputed on every call) and the earlier
 ``ranked_from_scores``, ``flatten`` and ``random_mix``, which the lean
-versions must also reproduce exactly. The final section keeps the
-``csv.DictReader`` history parser that the one-pass ``ingest`` replaces.
+versions must also reproduce exactly. Then comes the ``csv.DictReader``
+history parser that the one-pass ``ingest`` replaces, and last the
+``if``-chain spec builder and separate ``spec_is_randomized`` tree walk that
+the node-type table replaces.
 """
 
 from __future__ import annotations
@@ -21,8 +23,36 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from tcp_lab import metrics
-from tcp_lab.approaches import DistanceMetric, StartPolicy, safe_distance, tokenize
-from tcp_lab.combinators import _check_weights, build, spec_is_randomized
+from tcp_lab.approaches import (
+    DEFAULT_ALPHA,
+    BaseOrder,
+    CodeDistOrder,
+    DistanceMetric,
+    ExeTimeOrder,
+    FailDensityOrder,
+    Folder,
+    FoldFailsOrder,
+    RandomOrder,
+    RecentnessOrder,
+    SourceVectors,
+    StartPolicy,
+    safe_distance,
+    tokenize,
+)
+from tcp_lab.combinators import (
+    DEFAULT_SCHULZE_CAP,
+    PRESETS,
+    BordaMixedOrder,
+    CodeDistBrokenOrder,
+    GenericBrokenOrder,
+    InterpolatedOrder,
+    InvalidSpecError,
+    RandomMixedOrder,
+    SchulzeMixedOrder,
+    _check_weights,
+    build,
+    spec_is_randomized,
+)
 from tcp_lab.dataset import (
     EMPTY_HISTORY,
     MISSING_COLUMN,
@@ -52,6 +82,7 @@ from tcp_lab.metrics import (
     testing_time,
 )
 from tcp_lab.model import (
+    Approach,
     CycleRecord,
     FlattenPolicy,
     ProjectHistory,
@@ -664,3 +695,240 @@ def ingest_oracle(
         for index, data in sorted(cycles.items())
     )
     return IngestResult(ProjectHistory(project, records), rejected)
+
+
+# --- the spec-tree builder before the node-type table -------------------------
+
+
+_ORACLE_ORDER_SUFFIX = "_order"
+
+_ORACLE_LEAF_TYPES = {
+    "base",
+    "random",
+    "recentness",
+    "fold_fails",
+    "exe_time",
+    "fail_density",
+    "code_dist",
+}
+_ORACLE_COMBINATOR_TYPES = {
+    "random_mix",
+    "borda_mix",
+    "schulze_mix",
+    "interpolated",
+    "break_ties",
+    "break_ties_codedist",
+}
+
+_ORACLE_COUNT_MODES = ("failed_cycles", "all_cycles")
+
+_ORACLE_ALLOWED_KEYS = {
+    "base": set(),
+    "random": {"seed"},
+    "recentness": set(),
+    "fold_fails": {"folder", "alpha"},
+    "exe_time": {"alpha"},
+    "fail_density": {"alpha_fail", "alpha_time"},
+    "code_dist": {"metric", "start"},
+    "random_mix": {"children", "seed"},
+    "borda_mix": {"children"},
+    "schulze_mix": {"children", "max_suite"},
+    "interpolated": {"before", "after", "cutoff", "count_mode"},
+    "break_ties": {"primary", "secondary"},
+    "break_ties_codedist": {"primary", "metric"},
+}
+
+
+def _oracle_canonical_type(raw: object) -> str:
+    if not isinstance(raw, str) or not raw:
+        raise InvalidSpecError(f"spec node needs a string 'type', got {raw!r}")
+    name = raw
+    stem = name[: -len(_ORACLE_ORDER_SUFFIX)]
+    if name.endswith(_ORACLE_ORDER_SUFFIX) and stem in _ORACLE_LEAF_TYPES:
+        name = stem
+    if name not in _ORACLE_LEAF_TYPES and name not in _ORACLE_COMBINATOR_TYPES:
+        raise InvalidSpecError(f"unknown approach type {raw!r}")
+    return name
+
+
+class _OracleSeedAllocator:
+    """Deterministic per-node seeds for randomized specs without explicit ones."""
+
+    def __init__(self, master_seed: int):
+        self._rng = random.Random(master_seed)
+
+    def seed_for(self, node: Mapping) -> int:
+        explicit = node.get("seed")
+        drawn = self._rng.getrandbits(63)
+        if explicit is None:
+            return drawn
+        if not isinstance(explicit, int):
+            raise InvalidSpecError(f"seed must be an integer, got {explicit!r}")
+        return explicit
+
+
+def _oracle_float_param(node: Mapping, key: str, default: float) -> float:
+    value = node.get(key, default)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise InvalidSpecError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _oracle_build_children(
+    node: Mapping, builder
+) -> list[tuple[Approach, float]]:
+    children = node.get("children")
+    if not isinstance(children, list) or not children:
+        raise InvalidSpecError("a mixer needs a non-empty 'children' list")
+    built: list[tuple[Approach, float]] = []
+    for entry in children:
+        if not isinstance(entry, Mapping) or "spec" not in entry:
+            raise InvalidSpecError(
+                "each mixer child must be an object with 'weight' and 'spec'"
+            )
+        weight = entry.get("weight", 1)
+        if not isinstance(weight, (int, float)) or isinstance(weight, bool) or weight < 0:
+            raise InvalidSpecError(f"child weight must be >= 0, got {weight!r}")
+        built.append((builder(entry["spec"]), float(weight)))
+    if not any(weight > 0 for _, weight in built):
+        raise InvalidSpecError("a mixer needs at least one child with weight > 0")
+    return built
+
+
+def build_oracle(
+    spec: Mapping | str,
+    *,
+    sources: SourceVectors | Mapping[TestCaseId, str] | None = None,
+    master_seed: int = 0,
+) -> Approach:
+    """Construct an approach from a spec tree or preset name.
+
+    ``sources`` backs the code-distance nodes: a case-to-source mapping, or
+    a :class:`SourceVectors` to share one tokenization across builds. All
+    code-distance nodes of one tree share one. Randomized nodes without an
+    explicit ``seed`` get one derived deterministically from ``master_seed``
+    and their position in the tree.
+    """
+    seeds = _OracleSeedAllocator(master_seed)
+    sources = SourceVectors.of(sources)
+
+    def construct(node: Mapping | str) -> Approach:
+        if isinstance(node, str):
+            table = PRESETS
+            if node not in table:
+                raise InvalidSpecError(f"unknown preset {node!r}")
+            return construct(table[node])
+        if not isinstance(node, Mapping):
+            raise InvalidSpecError(f"spec node must be an object, got {node!r}")
+        kind = _oracle_canonical_type(node.get("type"))
+        extra = set(node) - _ORACLE_ALLOWED_KEYS[kind] - {"type", "comment"}
+        if extra:
+            raise InvalidSpecError(
+                f"unexpected keys {sorted(extra)} for type {kind!r}"
+            )
+        if kind == "base":
+            return BaseOrder()
+        if kind == "random":
+            return RandomOrder(seed=seeds.seed_for(node))
+        if kind == "recentness":
+            return RecentnessOrder()
+        if kind == "fold_fails":
+            folder_raw = node.get("folder", "sum")
+            try:
+                folder = Folder(folder_raw)
+            except ValueError:
+                raise InvalidSpecError(f"unknown folder {folder_raw!r}") from None
+            return FoldFailsOrder(folder, alpha=_oracle_float_param(node, "alpha", DEFAULT_ALPHA))
+        if kind == "exe_time":
+            return ExeTimeOrder(alpha=_oracle_float_param(node, "alpha", DEFAULT_ALPHA))
+        if kind == "fail_density":
+            return FailDensityOrder(
+                alpha_fail=_oracle_float_param(node, "alpha_fail", DEFAULT_ALPHA),
+                alpha_time=_oracle_float_param(node, "alpha_time", DEFAULT_ALPHA),
+            )
+        if kind == "code_dist":
+            return CodeDistOrder(
+                metric=_metric_param(node),
+                start=_start_param(node),
+                sources=sources,
+            )
+        if kind == "random_mix":
+            seed = seeds.seed_for(node)
+            return RandomMixedOrder(_oracle_build_children(node, construct), seed=seed)
+        if kind == "borda_mix":
+            return BordaMixedOrder(_oracle_build_children(node, construct))
+        if kind == "schulze_mix":
+            cap = node.get("max_suite", DEFAULT_SCHULZE_CAP)
+            if not isinstance(cap, int) or cap < 1:
+                raise InvalidSpecError(f"max_suite must be a positive integer, got {cap!r}")
+            return SchulzeMixedOrder(_oracle_build_children(node, construct), max_suite=cap)
+        if kind == "interpolated":
+            for key in ("before", "after", "cutoff"):
+                if key not in node:
+                    raise InvalidSpecError(f"interpolated spec needs {key!r}")
+            cutoff = node["cutoff"]
+            if not isinstance(cutoff, int) or cutoff < 1:
+                raise InvalidSpecError(f"cutoff must be a positive integer, got {cutoff!r}")
+            count_mode = node.get("count_mode", "failed_cycles")
+            if count_mode not in _ORACLE_COUNT_MODES:
+                raise InvalidSpecError(f"unknown count_mode {count_mode!r}")
+            return InterpolatedOrder(
+                construct(node["before"]),
+                construct(node["after"]),
+                cutoff=cutoff,
+                count_mode=count_mode,
+            )
+        if kind == "break_ties":
+            for key in ("primary", "secondary"):
+                if key not in node:
+                    raise InvalidSpecError(f"break_ties spec needs {key!r}")
+            return GenericBrokenOrder(
+                construct(node["primary"]), construct(node["secondary"])
+            )
+        if kind == "break_ties_codedist":
+            if "primary" not in node:
+                raise InvalidSpecError("break_ties_codedist spec needs 'primary'")
+            return CodeDistBrokenOrder(
+                construct(node["primary"]),
+                metric=_metric_param(node),
+                sources=sources,
+            )
+        raise InvalidSpecError(f"unknown approach type {kind!r}")  # pragma: no cover
+
+    def _metric_param(node: Mapping) -> DistanceMetric:
+        raw = node.get("metric", DistanceMetric.EUCLIDEAN.value)
+        try:
+            return DistanceMetric(raw)
+        except ValueError:
+            raise InvalidSpecError(f"unknown metric {raw!r}") from None
+
+    def _start_param(node: Mapping) -> StartPolicy:
+        raw = node.get("start", StartPolicy.FARTHEST_PAIR.value)
+        try:
+            return StartPolicy(raw)
+        except ValueError:
+            raise InvalidSpecError(f"unknown start policy {raw!r}") from None
+
+    return construct(spec)
+
+
+def spec_is_randomized_oracle(spec: Mapping | str) -> bool:
+    """True if the spec tree (or named preset) contains a randomized node."""
+    if isinstance(spec, str):
+        table = PRESETS
+        if spec not in table:
+            raise InvalidSpecError(f"unknown preset {spec!r}")
+        return spec_is_randomized_oracle(table[spec])
+    if not isinstance(spec, Mapping):
+        raise InvalidSpecError(f"spec node must be an object, got {spec!r}")
+    kind = _oracle_canonical_type(spec.get("type"))
+    if kind in ("random", "random_mix"):
+        return True
+    nested: list[Mapping | str] = []
+    for child in spec.get("children", []) or []:
+        if isinstance(child, Mapping) and "spec" in child:
+            nested.append(child["spec"])
+    for key in ("before", "after", "primary", "secondary"):
+        if key in spec:
+            nested.append(spec[key])
+    return any(spec_is_randomized_oracle(sub) for sub in nested)

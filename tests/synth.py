@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Mapping, Sequence
 
-from tcp_lab.combinators import build, presets
+from tcp_lab.combinators import PRESETS, build
 from tcp_lab.model import (
     Approach,
     CycleRecord,
@@ -93,7 +93,7 @@ def shipped_approach_specs() -> dict[str, object]:
         "code_dist": {"type": "code_dist", "metric": "euclidean"},
         "code_dist_cosine": {"type": "code_dist", "metric": "cosine", "start": "first_case"},
     }
-    specs.update(presets())
+    specs.update(PRESETS)
     return specs
 
 

@@ -251,6 +251,18 @@ class TestEvaluateCommand:
         )
         assert main(["evaluate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
 
+    def test_out_of_range_alpha_exits_2(self, tmp_path, capsys):
+        history_path = make_history_file(tmp_path, "proj", seed=10)
+        config = write_config(
+            tmp_path,
+            [{"name": "proj", "history": history_path.name}],
+            {"flat": {"type": "exe_time", "alpha": 0}},
+        )
+        assert main(["evaluate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: approach 'flat': ALPHA_OUT_OF_RANGE: alpha must be in (0, 1], got 0.0\n"
+        )
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         paths = [
             make_history_file(tmp_path, name, seed)
@@ -429,6 +441,28 @@ class TestPrioritizeCommand:
         )
         assert code == 0
         assert capsys.readouterr().out.splitlines()[0] == "b"
+
+    def prioritize(self, tmp_path, spec_text):
+        spec = tmp_path / "spec.json"
+        spec.write_text(spec_text, encoding="utf-8")
+        history = str(self.history_path(tmp_path))
+        return main(["prioritize", "--history", history, "--spec", str(spec), "--cycle", "1"])
+
+    def test_out_of_range_alpha_exits_2(self, tmp_path, capsys):
+        assert self.prioritize(tmp_path, '{"type": "exe_time", "alpha": 0}') == 2
+        assert capsys.readouterr().err == (
+            "error: ALPHA_OUT_OF_RANGE: alpha must be in (0, 1], got 0.0\n"
+        )
+
+    def test_nan_weight_exits_2(self, tmp_path, capsys):
+        spec = (
+            '{"type": "borda_mix", "children": [{"weight": NaN, "spec": "P3.1"},'
+            ' {"weight": 1, "spec": {"type": "exe_time"}}]}'
+        )
+        assert self.prioritize(tmp_path, spec) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: child weight must be finite, got nan\n"
 
     def test_unknown_preset_exits_2(self, tmp_path, capsys):
         code = main(

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
-from oracles import widest_path_oracle
+from oracles import build_oracle, spec_is_randomized_oracle, widest_path_oracle
 from synth import cycle, random_history, replay
 from tcp_lab.approaches import (
     CodeDistOrder,
@@ -17,6 +18,7 @@ from tcp_lab.approaches import (
     SourceVectors,
 )
 from tcp_lab.combinators import (
+    PRESETS,
     BordaMixedOrder,
     CountMode,
     Cutoff,
@@ -33,7 +35,6 @@ from tcp_lab.combinators import (
     build,
     interpolate_weights,
     pairwise_preferences,
-    presets,
     random_mix,
     schulze_mix,
     spec_is_randomized,
@@ -420,9 +421,123 @@ class TestBuildAndSpecs:
         assert runs[0] == runs[1]  # explicit seed wins over master seed
 
 
+BASE = {"type": "base_order"}
+ONE_CHILD = [{"weight": 1, "spec": BASE}]
+
+# The bad specs above and in tests/test_cli.py, then one spec for each other
+# message, each with the exact message it fails with; the earlier if-chain
+# builder gives the same messages.
+PINNED_MESSAGES = [
+    ({"type": "no_such_thing"}, "unknown approach type 'no_such_thing'"),
+    ({"type": "fold_fails", "folder": "median"}, "unknown folder 'median'"),
+    ({"type": "borda_mix", "children": []}, "a mixer needs a non-empty 'children' list"),
+    (
+        {"type": "borda_mix", "children": [{"weight": 1}]},
+        "each mixer child must be an object with 'weight' and 'spec'",
+    ),
+    (
+        {"type": "borda_mix", "children": [{"weight": -1, "spec": BASE}]},
+        "child weight must be >= 0, got -1",
+    ),
+    ({"type": "interpolated", "before": BASE, "after": BASE}, "interpolated spec needs 'cutoff'"),
+    (
+        {"type": "interpolated", "before": BASE, "after": BASE, "cutoff": 0},
+        "cutoff must be a positive integer, got 0",
+    ),
+    ({"type": "break_ties", "primary": BASE}, "break_ties spec needs 'secondary'"),
+    ({"type": "exe_time", "alpha": "high"}, "alpha must be a number, got 'high'"),
+    ({"type": "base_order", "children": []}, "unexpected keys ['children'] for type 'base'"),
+    (42, "spec node must be an object, got 42"),
+    ("P9.9", "unknown preset 'P9.9'"),
+    ({"type": "no_such"}, "unknown approach type 'no_such'"),
+    ({"type": 7}, "spec node needs a string 'type', got 7"),
+    ({"type": "borda_mix_order", "children": ONE_CHILD}, "unknown approach type 'borda_mix_order'"),
+    ({"type": "code_dist", "metric": "chebyshev"}, "unknown metric 'chebyshev'"),
+    ({"type": "code_dist", "start": "middle"}, "unknown start policy 'middle'"),
+    ({"type": "fail_density", "alpha_fail": None}, "alpha_fail must be a number, got None"),
+    ({"type": "random_order", "seed": "abc"}, "seed must be an integer, got 'abc'"),
+    (
+        {"type": "schulze_mix", "children": ONE_CHILD, "max_suite": 0},
+        "max_suite must be a positive integer, got 0",
+    ),
+    (
+        {"type": "borda_mix", "children": [{"weight": 0, "spec": BASE}]},
+        "a mixer needs at least one child with weight > 0",
+    ),
+    (
+        {"type": "interpolated", "before": BASE, "after": BASE, "cutoff": 2, "count_mode": "x"},
+        "unknown count_mode 'x'",
+    ),
+    ({"type": "interpolated", "after": BASE, "cutoff": 2}, "interpolated spec needs 'before'"),
+    (
+        {"type": "break_ties_codedist", "metric": "cosine"},
+        "break_ties_codedist spec needs 'primary'",
+    ),
+]
+
+# Specs the earlier builder accepted, or let fail with AlphaRangeError.
+NEW_REJECTIONS = [
+    ({"type": "exe_time", "alpha": 0}, "ALPHA_OUT_OF_RANGE: alpha must be in (0, 1], got 0.0"),
+    (
+        {"type": "fold_fails", "folder": "sum", "alpha": 1.5},
+        "ALPHA_OUT_OF_RANGE: alpha must be in (0, 1], got 1.5",
+    ),
+    (
+        {"type": "fail_density", "alpha_time": -0.5},
+        "ALPHA_OUT_OF_RANGE: alpha must be in (0, 1], got -0.5",
+    ),
+    (
+        json.loads(
+            '{"type": "borda_mix", "children": '
+            '[{"weight": NaN, "spec": "P1.2"}, {"weight": 1, "spec": "P2"}]}'
+        ),
+        "child weight must be finite, got nan",
+    ),
+    (
+        json.loads('{"type": "random_mix", "children": [{"weight": Infinity, "spec": "P3.1"}]}'),
+        "child weight must be finite, got inf",
+    ),
+    ({"type": "random_order", "seed": True}, "seed must be an integer, got True"),
+    (
+        {"type": "random_mix", "children": ONE_CHILD, "seed": False},
+        "seed must be an integer, got False",
+    ),
+    (
+        {"type": "interpolated", "before": BASE, "after": BASE, "cutoff": True},
+        "cutoff must be a positive integer, got True",
+    ),
+    (
+        {"type": "schulze_mix", "children": ONE_CHILD, "max_suite": True},
+        "max_suite must be a positive integer, got True",
+    ),
+]
+
+
+class TestSpecMessages:
+    @pytest.mark.parametrize("bad, message", PINNED_MESSAGES)
+    def test_pinned_message(self, bad, message):
+        for builder in (build, build_oracle):
+            with pytest.raises(InvalidSpecError) as error:
+                builder(bad)
+            assert str(error.value) == message
+
+    @pytest.mark.parametrize("bad, message", NEW_REJECTIONS)
+    def test_rejected_with_message(self, bad, message):
+        with pytest.raises(InvalidSpecError) as error:
+            build(bad)
+        assert str(error.value) == message
+
+    def test_spec_is_randomized_rejects_what_build_rejects(self):
+        spec = {"type": "base", "primary": {"type": "random"}}
+        assert spec_is_randomized_oracle(spec)  # the separate walk said yes
+        with pytest.raises(InvalidSpecError) as error:
+            spec_is_randomized(spec)
+        assert str(error.value) == "unexpected keys ['primary'] for type 'base'"
+
+
 class TestPresets:
     def test_exactly_six_with_expected_structure(self):
-        table = presets()
+        table = PRESETS
         assert sorted(table) == ["P1.1", "P1.2", "P1.3", "P2", "P3.1", "P3.2"]
         for name, mix in (("P1.1", "random_mix"), ("P1.2", "borda_mix"), ("P1.3", "schulze_mix")):
             node = table[name]
@@ -451,7 +566,7 @@ class TestPresets:
 
     def test_p2_first_cycle_equals_before_mixer(self):
         p2 = build("P2")
-        before_only = build(presets()["P2"]["before"])
+        before_only = build(PRESETS["P2"]["before"])
         suite = ["a", "b", "c", "d"]
         assert p2.rank(suite) == before_only.rank(suite)
 

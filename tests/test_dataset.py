@@ -437,6 +437,40 @@ class TestAttachSources:
         # the latest resolvable cycle wins
         assert attached.sources["T"] == "new"
 
+    def test_latest_tree_holding_the_case_wins(self, tmp_path):
+        for commit, body in (("c0", "old"), ("c1", "new"), ("c2", None)):
+            tree = tmp_path / commit
+            tree.mkdir()
+            if body is not None:
+                (tree / "T.java").write_text(body, encoding="utf-8")
+        history = ProjectHistory(
+            "p",
+            tuple(cycle(i, ["T"], commit_id=f"c{i}") for i in range(3))
+            + (cycle(3, ["T"], commit_id="c0"), cycle(4, ["T"], commit_id="c2")),
+        )
+        attached = attach_sources(
+            history, tmp_path, commit_resolver=lambda commit: tmp_path / commit
+        )
+        assert attached.sources["T"] == "old"
+
+    def test_each_source_read_once_per_tree(self, tmp_path, monkeypatch):
+        for name in ("A", "B"):
+            (tmp_path / f"{name}.java").write_text(f"class {name} {{}}", encoding="utf-8")
+        reads = []
+        read_text = Path.read_text
+
+        def counted_read_text(path, *args, **kwargs):
+            reads.append(path.name)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counted_read_text)
+        history = ProjectHistory(
+            "p", tuple(cycle(i, ["A", "B", "Gone"]) for i in range(4))
+        )
+        attached = attach_sources(history, tmp_path)
+        assert attached.sources == {"A": "class A {}", "B": "class B {}"}
+        assert sorted(reads) == ["A.java", "B.java"]
+
 
 class TestFilterForEvaluation:
     def sized_history(self, sizes):

@@ -9,7 +9,6 @@ import pytest
 from oracles import apfd_c_of, apfd_of, exhaustive_extrema
 from synth import cycle
 from tcp_lab.metrics import (
-    Aggregate,
     CycleTiming,
     DegenerateBoundsError,
     NoDataError,
@@ -17,7 +16,6 @@ from tcp_lab.metrics import (
     NoFaultsError,
     ZeroBaselineTimeError,
     ZeroTotalTimeError,
-    aggregate,
     apfd,
     apfd_bounds,
     apfd_c,
@@ -267,15 +265,3 @@ class TestAggregate:
     def test_empty_population_is_no_data(self):
         with pytest.raises(NoDataError):
             mean_median([])
-
-    def test_cross_project_rows(self):
-        result = aggregate({"p1": [0.2, 0.8], "p2": [1.0], "p3": []})
-        assert isinstance(result, Aggregate)
-        assert result.per_project["p1"] == (pytest.approx(0.5), pytest.approx(0.5))
-        assert "p3" not in result.per_project
-        assert result.cross_mean == pytest.approx((0.5 + 1.0) / 2)
-        assert result.cross_median == pytest.approx(0.75)
-
-    def test_all_empty_is_no_data(self):
-        with pytest.raises(NoDataError):
-            aggregate({"p1": [], "p2": []})

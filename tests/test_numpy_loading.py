@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from synth import random_history
-from tcp_lab.combinators import presets
+from tcp_lab.combinators import PRESETS
 from tcp_lab.dataset import write_canonical
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -59,7 +59,7 @@ def test_prioritize_with_history_only_preset_leaves_numpy_out(tmp_path):
 NUMPY_SPECS = {"code_dist": {"type": "code_dist"}, "P1.3": "P1.3", "P3.2": "P3.2"}
 
 
-@pytest.mark.parametrize("name", sorted(NUMPY_SPECS) + sorted(set(presets()) - set(NUMPY_SPECS)))
+@pytest.mark.parametrize("name", sorted(NUMPY_SPECS) + sorted(set(PRESETS) - set(NUMPY_SPECS)))
 def test_build_loads_numpy_exactly_for_numpy_nodes(name):
     spec = NUMPY_SPECS.get(name, name)
     # build() loads numpy, so that its one-time import never falls in a timed rank
