@@ -13,7 +13,6 @@ suite and later returns.
 from __future__ import annotations
 
 import enum
-import math
 import random
 import re
 from collections import Counter
@@ -39,8 +38,6 @@ DEFAULT_ALPHA = 0.8
 # Guard against division by a zero smoothed duration in failure-density scores.
 ZERO_DURATION_EPSILON = 1e-9
 
-CodeVector = Mapping[str, int]
-
 
 class AlphaRangeError(ValueError):
     """Smoothing factor outside (0, 1]."""
@@ -49,20 +46,10 @@ class AlphaRangeError(ValueError):
         super().__init__(f"ALPHA_OUT_OF_RANGE: alpha must be in (0, 1], got {alpha}")
 
 
-class ZeroVectorError(ValueError):
-    """Cosine distance is undefined when both vectors are empty."""
-
-
 def _check_alpha(alpha: float) -> float:
     if not 0 < alpha <= 1:
         raise AlphaRangeError(alpha)
     return alpha
-
-
-def exp_smooth_step(prev: float, alpha: float, observation: float) -> float:
-    """One exponential smoothing update: alpha*observation + (1-alpha)*prev."""
-    _check_alpha(alpha)
-    return alpha * observation + (1 - alpha) * prev
 
 
 class SmoothedSeries:
@@ -73,7 +60,7 @@ class SmoothedSeries:
         self._values: dict[TestCaseId, float] = {}
 
     def update(self, case: TestCaseId, observation: float) -> None:
-        # exp_smooth_step without its alpha check, done once in __init__
+        """Smooth in one observation: alpha*observation + (1-alpha)*previous."""
         alpha = self.alpha
         self._values[case] = alpha * observation + (1 - alpha) * self._values.get(
             case, 0.0
@@ -81,9 +68,6 @@ class SmoothedSeries:
 
     def value(self, case: TestCaseId) -> float:
         return self._values.get(case, 0.0)
-
-    def snapshot(self) -> dict[TestCaseId, float]:
-        return dict(self._values)
 
     def reset(self) -> None:
         self._values.clear()
@@ -239,7 +223,7 @@ _NON_ALNUM = re.compile(r"[^0-9A-Za-z]+")
 _CAMEL_HUMP = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
 
 
-def tokenize(source: str) -> CodeVector:
+def tokenize(source: str) -> Counter[str]:
     """Bag-of-tokens representation of a source text.
 
     Splits on non-alphanumeric boundaries and camelCase humps, lowercases,
@@ -259,41 +243,9 @@ class DistanceMetric(enum.Enum):
     COSINE_DISTANCE = "cosine"
 
 
-def vector_distance(u: CodeVector, v: CodeVector, metric: DistanceMetric) -> float:
-    """Distance between two sparse token-count vectors.
-
-    Cosine distance is 1 - cosine similarity; it raises
-    :class:`ZeroVectorError` when both vectors are empty, and an empty
-    vector is at distance 1 from any non-empty one.
-    """
-    metric = DistanceMetric(metric)
-    if metric is DistanceMetric.COSINE_DISTANCE:
-        if not u and not v:
-            raise ZeroVectorError("cosine distance undefined for two empty vectors")
-        if not u or not v:
-            return 1.0
-        dot = sum(count * v.get(token, 0) for token, count in u.items())
-        norm_u = math.sqrt(sum(count * count for count in u.values()))
-        norm_v = math.sqrt(sum(count * count for count in v.values()))
-        return max(0.0, 1.0 - dot / (norm_u * norm_v))
-    keys = u.keys() | v.keys()
-    diffs = (u.get(token, 0) - v.get(token, 0) for token in keys)
-    if metric is DistanceMetric.MANHATTAN:
-        return float(sum(abs(d) for d in diffs))
-    return math.sqrt(sum(d * d for d in diffs))
-
-
 class StartPolicy(enum.Enum):
     FARTHEST_PAIR = "farthest_pair"
     FIRST_CASE = "first_case"
-
-
-def safe_distance(u: CodeVector, v: CodeVector, metric: DistanceMetric) -> float:
-    """vector_distance with the two-empty-vectors cosine case mapped to 0."""
-    try:
-        return vector_distance(u, v, metric)
-    except ZeroVectorError:
-        return 0.0
 
 
 # Token counts are integers, so every distance below is computed exactly in
@@ -341,11 +293,13 @@ class SourceVectors:
     def distances(
         self, cases: Sequence[TestCaseId], metric: DistanceMetric
     ) -> np.ndarray:
-        """Pairwise distance keys between the cases' vectors.
+        """Pairwise distance keys between the cases' token-count vectors.
 
-        Entry [i, j] orders pairs exactly as ``safe_distance`` of cases i and
-        j does: the Manhattan distance, the *squared* Euclidean distance, or
-        the cosine distance computed in ``vector_distance``'s operation order.
+        Entry [i, j] for vectors u and v of cases i and j is, by metric: the
+        Manhattan distance sum |u - v|; the *squared* Euclidean distance
+        sum (u - v)**2, which orders pairs as the distance does; or the
+        cosine distance max(0, 1 - u.v / (|u| |v|)), which is 1 when exactly
+        one of the vectors is empty and 0 when both are.
         """
         import numpy as np
 

@@ -20,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from tcp_lab.combinators import PRESETS, InvalidSpecError, build
+from tcp_lab.combinators import PRESETS, InvalidSpecError, SuiteTooLargeError, build
 from tcp_lab.dataset import (
     ColumnMapping,
     DatasetError,
@@ -151,7 +151,14 @@ def _cmd_prioritize(args: argparse.Namespace) -> int:
         ranking = approach.rank(list(history.cycles[target].suite))
         for case in flatten(ranking, FlattenPolicy.STABLE):
             print(case)
-    except (InvalidSpecError, ConfigError, DatasetError, OSError, json.JSONDecodeError) as error:
+    except (
+        InvalidSpecError,
+        SuiteTooLargeError,
+        ConfigError,
+        DatasetError,
+        OSError,
+        json.JSONDecodeError,
+    ) as error:
         return _fail(str(error))
     return 0
 
@@ -170,7 +177,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--mapping", required=True, help="JSON column mapping file")
     p_ingest.add_argument("--out", required=True, help="canonical history file to write")
     p_ingest.add_argument("--project", help="project name (default: output stem)")
-    p_ingest.add_argument("--delimiter", default=",", help="source delimiter (default ,)")
+    p_ingest.add_argument("--delimiter", default=",", help="one-character delimiter (default ,)")
     p_ingest.add_argument("--build-times", help="job_id,seconds table to join")
     p_ingest.set_defaults(func=_cmd_ingest)
 

@@ -237,30 +237,6 @@ def schulze_mix(
     return ranked_from_scores(suite, beats.__getitem__, descending=True)
 
 
-@dataclass
-class Cutoff:
-    """Progress towards a cycle-count goal driving interpolation."""
-
-    target: int
-    progress: int = 0
-
-    def __post_init__(self) -> None:
-        if self.target < 1:
-            raise ValueError("cutoff target must be >= 1")
-        if self.progress < 0:
-            raise ValueError("progress must be >= 0")
-
-    @property
-    def fraction(self) -> float:
-        return min(self.progress / self.target, 1.0)
-
-
-def interpolate_weights(cutoff: Cutoff) -> tuple[float, float]:
-    """Weights (before, after) = (1 - f, f) for f = min(progress/target, 1)."""
-    f = cutoff.fraction
-    return 1.0 - f, f
-
-
 class CountMode(enum.Enum):
     """Which replayed cycles advance an interpolator's progress."""
 
@@ -274,8 +250,7 @@ def break_ties(primary: RankedSuite, secondary: RankedSuite) -> RankedSuite:
     Secondary residual ties persist in the output. Group boundaries of the
     primary ranking are never crossed.
     """
-    if set(primary.cases()) != set(secondary.cases()):
-        raise QueueMismatchError("primary and secondary rankings cover different suites")
+    _check_same_suite([secondary.cases()], primary.cases())
     secondary_group: dict[TestCaseId, int] = {}
     secondary_position: dict[TestCaseId, int] = {}
     for g, group in enumerate(secondary.groups):
@@ -450,9 +425,8 @@ class InterpolatedOrder(_Combined):
         return self._progress
 
     def rank(self, suite: Sequence[TestCaseId]) -> RankedSuite:
-        children, weights = self._active(
-            interpolate_weights(Cutoff(self.cutoff, self._progress))
-        )
+        f = min(self._progress / self.cutoff, 1.0)
+        children, weights = self._active((1.0 - f, f))
         rankings = [child.rank(suite) for child in children]
         return borda_mix(rankings, weights, suite=suite)
 
@@ -509,7 +483,11 @@ _REQUIRED = object()
 def _number(key: str, value: object) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise InvalidSpecError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        bits = value.bit_length()
+        raise InvalidSpecError(f"{key} must fit in a float, got a {bits}-bit integer") from None
 
 
 def _positive_int(key: str, value: object) -> int:
@@ -664,9 +642,10 @@ def _build_children(
         weight = entry.get("weight", 1)
         if not isinstance(weight, (int, float)) or isinstance(weight, bool) or weight < 0:
             raise InvalidSpecError(f"child weight must be >= 0, got {weight!r}")
+        weight = _number("child weight", weight)
         if not math.isfinite(weight):
             raise InvalidSpecError(f"child weight must be finite, got {weight!r}")
-        built.append((_construct(entry["spec"], seeds, sources), float(weight)))
+        built.append((_construct(entry["spec"], seeds, sources), weight))
     if not any(weight > 0 for _, weight in built):
         raise InvalidSpecError("a mixer needs at least one child with weight > 0")
     return built

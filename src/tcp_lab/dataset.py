@@ -196,8 +196,11 @@ def ingest(
     ordinal, empty test name, negative duration, duplicate case within a
     cycle, a job id, commit id or known build time differing from that of
     the cycle's earlier rows) abort with PARSE_ERROR naming the offending
-    row.
+    row. A ``delimiter`` that is not exactly one character is a PARSE_ERROR
+    too.
     """
+    if len(delimiter) != 1:
+        raise DatasetError(PARSE_ERROR, f"delimiter must be one character, got {delimiter!r}")
     source = Path(source)
     rejected = 0
     cycles: dict[int, _CycleRows] = {}

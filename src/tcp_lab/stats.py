@@ -56,15 +56,15 @@ class ScoreMatrix:
         return tuple(row[j] for row in self.values)
 
 
-def _descending_ranks(row: Sequence[float]) -> list[float]:
-    """Within-row ranks: the highest value gets rank 1; ties average."""
-    k = len(row)
-    order = sorted(range(k), key=lambda j: -row[j])
-    ranks = [0.0] * k
+def _average_ranks(keys: Sequence[float]) -> list[float]:
+    """Ranks of ``keys`` in ascending order, from 1; ties get their average."""
+    n = len(keys)
+    order = sorted(range(n), key=keys.__getitem__)
+    ranks = [0.0] * n
     i = 0
-    while i < k:
+    while i < n:
         j = i
-        while j + 1 < k and row[order[j + 1]] == row[order[i]]:
+        while j + 1 < n and keys[order[j + 1]] == keys[order[i]]:
             j += 1
         average = (i + j) / 2 + 1
         for t in range(i, j + 1):
@@ -91,7 +91,8 @@ def friedman(matrix: ScoreMatrix) -> FriedmanResult:
     n = len(matrix.projects)
     rank_sums = [0.0] * k
     for row in matrix.values:
-        for j, rank in enumerate(_descending_ranks(row)):
+        # the highest score gets rank 1
+        for j, rank in enumerate(_average_ranks([-v for v in row])):
             rank_sums[j] += rank
     mean_ranks = tuple(total / n for total in rank_sums)
     center = (k + 1) / 2
@@ -115,26 +116,6 @@ class WilcoxonResult:
     n_nonzero: int
     all_zero: bool
     method: str
-
-
-def _signed_ranks(differences: Sequence[float]) -> tuple[list[float], float]:
-    """Average ranks of |d| (ascending) and the positive-rank sum."""
-    n = len(differences)
-    order = sorted(range(n), key=lambda i: abs(differences[i]))
-    ranks = [0.0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and abs(differences[order[j + 1]]) == abs(
-            differences[order[i]]
-        ):
-            j += 1
-        average = (i + j) / 2 + 1
-        for t in range(i, j + 1):
-            ranks[order[t]] = average
-        i = j + 1
-    w_plus = sum(rank for rank, d in zip(ranks, differences) if d > 0)
-    return ranks, w_plus
 
 
 def _exact_two_sided(ranks: Sequence[float], w_plus: float) -> float:
@@ -181,7 +162,8 @@ def wilcoxon_signed_rank(pairs: Sequence[tuple[float, float]]) -> WilcoxonResult
     nonzero = [d for d in differences if d != 0]
     if not nonzero:
         return WilcoxonResult(1.0, 0, True, "all_zero")
-    ranks, w_plus = _signed_ranks(nonzero)
+    ranks = _average_ranks([abs(d) for d in nonzero])
+    w_plus = sum(rank for rank, d in zip(ranks, nonzero) if d > 0)
     if len(nonzero) <= WILCOXON_EXACT_LIMIT:
         return WilcoxonResult(
             _exact_two_sided(ranks, w_plus), len(nonzero), False, "exact"

@@ -2,10 +2,12 @@
 
 The metric oracles recompute values from first principles over explicit
 permutations, deliberately sharing no code with the library implementation.
-The kernel oracles after them are the plain-Python code-distance, Schulze
-and tiebreak loops that the numpy kernels must reproduce exactly. The last
-section keeps the replay harness's earlier per-cycle path (a case dict per
-cycle and metric, bounds recomputed on every call) and the earlier
+The kernel oracles after them are the scalar code distance and the
+plain-Python code-distance, Schulze and tiebreak loops that the numpy
+kernels must reproduce exactly, followed by the two rank loops that
+``stats._average_ranks`` replaces. The next section keeps the replay
+harness's earlier per-cycle path (a case dict per cycle and metric, bounds
+recomputed on every call) and the earlier
 ``ranked_from_scores``, ``flatten`` and ``random_mix``, which the lean
 versions must also reproduce exactly. Then comes the ``csv.DictReader``
 history parser that the one-pass ``ingest`` replaces, and last the
@@ -36,7 +38,6 @@ from tcp_lab.approaches import (
     RecentnessOrder,
     SourceVectors,
     StartPolicy,
-    safe_distance,
     tokenize,
 )
 from tcp_lab.combinators import (
@@ -160,6 +161,44 @@ def orderings_agree(
 #
 # Rankings from these must equal the library's exactly. Distances come from
 # the scalar ``safe_distance`` over ``tokenize`` vectors.
+
+CodeVector = Mapping[str, int]
+
+
+class ZeroVectorError(ValueError):
+    """Cosine distance is undefined when both vectors are empty."""
+
+
+def vector_distance(u: CodeVector, v: CodeVector, metric: DistanceMetric) -> float:
+    """Distance between two sparse token-count vectors.
+
+    Cosine distance is 1 - cosine similarity; it raises
+    :class:`ZeroVectorError` when both vectors are empty, and an empty
+    vector is at distance 1 from any non-empty one.
+    """
+    metric = DistanceMetric(metric)
+    if metric is DistanceMetric.COSINE_DISTANCE:
+        if not u and not v:
+            raise ZeroVectorError("cosine distance undefined for two empty vectors")
+        if not u or not v:
+            return 1.0
+        dot = sum(count * v.get(token, 0) for token, count in u.items())
+        norm_u = math.sqrt(sum(count * count for count in u.values()))
+        norm_v = math.sqrt(sum(count * count for count in v.values()))
+        return max(0.0, 1.0 - dot / (norm_u * norm_v))
+    keys = u.keys() | v.keys()
+    diffs = (u.get(token, 0) - v.get(token, 0) for token in keys)
+    if metric is DistanceMetric.MANHATTAN:
+        return float(sum(abs(d) for d in diffs))
+    return math.sqrt(sum(d * d for d in diffs))
+
+
+def safe_distance(u: CodeVector, v: CodeVector, metric: DistanceMetric) -> float:
+    """vector_distance with the two-empty-vectors cosine case mapped to 0."""
+    try:
+        return vector_distance(u, v, metric)
+    except ZeroVectorError:
+        return 0.0
 
 
 def code_dist_chain_oracle(
@@ -305,6 +344,46 @@ def break_ties_oracle(primary: RankedSuite, secondary: RankedSuite) -> RankedSui
             if refined:
                 groups.append(refined)
     return RankedSuite(tuple(groups))
+
+
+# --- the two tie-averaging rank loops that ``stats._average_ranks`` replaced --
+
+
+def descending_ranks_oracle(row: Sequence[float]) -> list[float]:
+    """Within-row ranks: the highest value gets rank 1; ties average."""
+    k = len(row)
+    order = sorted(range(k), key=lambda j: -row[j])
+    ranks = [0.0] * k
+    i = 0
+    while i < k:
+        j = i
+        while j + 1 < k and row[order[j + 1]] == row[order[i]]:
+            j += 1
+        average = (i + j) / 2 + 1
+        for t in range(i, j + 1):
+            ranks[order[t]] = average
+        i = j + 1
+    return ranks
+
+
+def signed_ranks_oracle(differences: Sequence[float]) -> tuple[list[float], float]:
+    """Average ranks of |d| (ascending) and the positive-rank sum."""
+    n = len(differences)
+    order = sorted(range(n), key=lambda i: abs(differences[i]))
+    ranks = [0.0] * n
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and abs(differences[order[j + 1]]) == abs(
+            differences[order[i]]
+        ):
+            j += 1
+        average = (i + j) / 2 + 1
+        for t in range(i, j + 1):
+            ranks[order[t]] = average
+        i = j + 1
+    w_plus = sum(rank for rank, d in zip(ranks, differences) if d > 0)
+    return ranks, w_plus
 
 
 # --- the per-cycle harness path the cycle view replaced ----------------------

@@ -227,8 +227,8 @@ class TestAcceptance:
                 for approach in (inter, solo_before, solo_after):
                     approach.observe(record.executions)
                 # the embedded after-child state tracks the solo run exactly
-                assert inter.after._fails.snapshot() == solo_after._fails.snapshot()
-                assert inter.after._times.snapshot() == solo_after._times.snapshot()
+                assert inter.after._fails._values == solo_after._fails._values
+                assert inter.after._times._values == solo_after._times._values
             assert inter.progress >= cutoff  # both gates actually exercised
 
     def test_criterion_6_metric_spot_values(self):

@@ -20,11 +20,9 @@ from tcp_lab.approaches import (
     RandomOrder,
     RecentnessOrder,
     SmoothedSeries,
+    SourceVectors,
     StartPolicy,
-    ZeroVectorError,
-    exp_smooth_step,
     tokenize,
-    vector_distance,
 )
 from tcp_lab.model import FlattenPolicy, ProjectHistory, flatten
 
@@ -39,18 +37,26 @@ def order_of(ranking):
 
 class TestExpSmoothing:
     def test_step_from_zero(self):
-        assert exp_smooth_step(0.0, 0.5, 1.0) == 0.5
+        series = SmoothedSeries(0.5)
+        series.update("x", 1.0)
+        assert series.value("x") == 0.5
 
     def test_step_decay(self):
-        assert exp_smooth_step(0.5, 0.5, 0.0) == 0.25
+        series = SmoothedSeries(0.5)
+        series.update("x", 1.0)
+        series.update("x", 0.0)
+        assert series.value("x") == 0.25
 
     def test_alpha_one_replaces(self):
-        assert exp_smooth_step(123.0, 1.0, 7.0) == 7.0
+        series = SmoothedSeries(1.0)
+        series.update("x", 123.0)
+        series.update("x", 7.0)
+        assert series.value("x") == 7.0
 
     @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.5])
     def test_alpha_out_of_range(self, alpha):
         with pytest.raises(AlphaRangeError):
-            exp_smooth_step(0.0, alpha, 1.0)
+            SmoothedSeries(alpha)
 
     def test_series_initializes_at_zero(self):
         series = SmoothedSeries(0.5)
@@ -233,31 +239,39 @@ class TestTokenize:
         assert dict(tokenize("XMLParser")) == {"xml": 1, "parser": 1}
 
 
+def code_distance(text_u, text_v, metric):
+    """The distance key of two cases with the given source texts."""
+    vectors = SourceVectors({"u": text_u, "v": text_v})
+    return vectors.distances(["u", "v"], metric)[0, 1]
+
+
 class TestVectorDistance:
     @pytest.mark.parametrize("metric", list(DistanceMetric))
     def test_identical_vectors_zero(self, metric):
-        assert vector_distance({"a": 1}, {"a": 1}, metric) == 0.0
+        assert code_distance("a", "a", metric) == 0.0
 
     def test_manhattan_hand_value(self):
-        assert vector_distance({"a": 3}, {"a": 1, "b": 2}, DistanceMetric.MANHATTAN) == 4.0
+        assert code_distance("a a a", "a b b", DistanceMetric.MANHATTAN) == 4.0
 
     def test_euclidean_hand_value(self):
-        value = vector_distance({"a": 3}, {"a": 1, "b": 2}, DistanceMetric.EUCLIDEAN)
-        assert value == pytest.approx(8**0.5)
+        # the key is the squared distance: 2**2 + 2**2
+        assert code_distance("a a a", "a b b", DistanceMetric.EUCLIDEAN) == 8.0
 
     def test_cosine_orthogonal(self):
-        assert vector_distance({"a": 1}, {"b": 1}, DistanceMetric.COSINE_DISTANCE) == 1.0
+        assert code_distance("a", "b", DistanceMetric.COSINE_DISTANCE) == 1.0
 
-    def test_cosine_both_empty_raises(self):
-        with pytest.raises(ZeroVectorError):
-            vector_distance({}, {}, DistanceMetric.COSINE_DISTANCE)
+    def test_cosine_both_empty_is_zero(self):
+        assert code_distance("", "", DistanceMetric.COSINE_DISTANCE) == 0.0
+        # a case without a source text has the empty vector too
+        keys = SourceVectors({}).distances(["u", "v"], DistanceMetric.COSINE_DISTANCE)
+        assert keys[0, 1] == 0.0
 
     def test_cosine_one_empty_is_one(self):
-        assert vector_distance({}, {"a": 2}, DistanceMetric.COSINE_DISTANCE) == 1.0
+        assert code_distance("", "a a", DistanceMetric.COSINE_DISTANCE) == 1.0
 
     def test_non_negative(self):
-        u, v = {"a": 2, "b": 3}, {"a": 2, "b": 3}
-        assert vector_distance(u, v, DistanceMetric.COSINE_DISTANCE) >= 0.0
+        text = "a a b b b"
+        assert code_distance(text, text, DistanceMetric.COSINE_DISTANCE) >= 0.0
 
 
 class TestCodeDistOrder:

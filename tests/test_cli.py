@@ -136,6 +136,19 @@ class TestIngestCommand:
         assert code == 2
         assert "EMPTY_HISTORY" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("delimiter", ["", "ab"])
+    def test_delimiter_not_one_character_exits_2(
+        self, rtp_like_dataset, tmp_path, capsys, delimiter
+    ):
+        data, mapping = rtp_like_dataset
+        out = tmp_path / "x.csv"
+        argv = ["ingest", "--in", str(data), "--mapping", str(mapping), "--out", str(out)]
+        assert main(argv + ["--delimiter", delimiter]) == 2
+        assert capsys.readouterr().err == (
+            f"error: PARSE_ERROR: delimiter must be one character, got {delimiter!r}\n"
+        )
+        assert not out.exists()
+
     def test_build_time_join_reported(self, rtp_like_dataset, tmp_path, capsys):
         data, mapping = rtp_like_dataset
         times = tmp_path / "times.csv"
@@ -262,6 +275,31 @@ class TestEvaluateCommand:
         assert capsys.readouterr().err == (
             "error: approach 'flat': ALPHA_OUT_OF_RANGE: alpha must be in (0, 1], got 0.0\n"
         )
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (
+                {"type": "exe_time", "alpha": 10**400},
+                "alpha must fit in a float, got a 1329-bit integer",
+            ),
+            (
+                {
+                    "type": "borda_mix",
+                    "children": [{"weight": 10**400, "spec": {"type": "exe_time"}}],
+                },
+                "child weight must fit in a float, got a 1329-bit integer",
+            ),
+        ],
+        ids=["alpha", "weight"],
+    )
+    def test_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys, spec, message):
+        history_path = make_history_file(tmp_path, "proj", seed=10)
+        config = write_config(
+            tmp_path, [{"name": "proj", "history": history_path.name}], {"big": spec}
+        )
+        assert main(["evaluate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: approach 'big': {message}\n"
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         paths = [
@@ -463,6 +501,37 @@ class TestPrioritizeCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: child weight must be finite, got nan\n"
+
+    @pytest.mark.parametrize(
+        "spec_text, message",
+        [
+            (
+                '{"type": "exe_time", "alpha": 1%s}' % ("0" * 400),
+                "alpha must fit in a float, got a 1329-bit integer",
+            ),
+            (
+                '{"type": "borda_mix", "children": [{"weight": 1%s, "spec": "P3.1"}]}'
+                % ("0" * 400),
+                "child weight must fit in a float, got a 1329-bit integer",
+            ),
+        ],
+        ids=["alpha", "weight"],
+    )
+    def test_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys, spec_text, message):
+        assert self.prioritize(tmp_path, spec_text) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_suite_over_schulze_cap_exits_2(self, tmp_path, capsys):
+        spec = (
+            '{"type": "schulze_mix", "max_suite": 2,'
+            ' "children": [{"weight": 1, "spec": {"type": "exe_time"}}]}'
+        )
+        assert self.prioritize(tmp_path, spec) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: suite of 3 cases exceeds the Schulze cap of 2\n"
 
     def test_unknown_preset_exits_2(self, tmp_path, capsys):
         code = main(

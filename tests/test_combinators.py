@@ -10,6 +10,7 @@ import pytest
 from oracles import build_oracle, spec_is_randomized_oracle, widest_path_oracle
 from synth import cycle, random_history, replay
 from tcp_lab.approaches import (
+    BaseOrder,
     CodeDistOrder,
     DistanceMetric,
     ExeTimeOrder,
@@ -21,7 +22,6 @@ from tcp_lab.combinators import (
     PRESETS,
     BordaMixedOrder,
     CountMode,
-    Cutoff,
     GenericBrokenOrder,
     InterpolatedOrder,
     InvalidSpecError,
@@ -33,7 +33,6 @@ from tcp_lab.combinators import (
     break_ties,
     break_ties_codedist,
     build,
-    interpolate_weights,
     pairwise_preferences,
     random_mix,
     schulze_mix,
@@ -162,22 +161,37 @@ class TestSchulzeMix:
         assert [set(g) for g in out.groups] == [{"a", "b"}, {"c"}]
 
 
+class ReversedOrder(BaseOrder):
+    def rank(self, suite):
+        return super().rank(suite[::-1])
+
+
 class TestInterpolateWeights:
+    """Weights (1 - f, f) for f = min(progress / cutoff, 1), seen in rankings."""
+
+    def groups_after(self, cutoff, cycles):
+        inter = InterpolatedOrder(
+            BaseOrder(), ReversedOrder(), cutoff, count_mode=CountMode.ALL_CYCLES
+        )
+        for _ in range(cycles):
+            inter.observe([])
+        assert inter.progress == cycles
+        return inter.rank(["a", "b", "c"]).groups
+
     def test_progress_zero_is_before_only(self):
-        assert interpolate_weights(Cutoff(5, 0)) == (1.0, 0.0)
+        assert self.groups_after(5, 0) == (("a",), ("b",), ("c",))
 
     def test_halfway(self):
-        assert interpolate_weights(Cutoff(2, 1)) == (0.5, 0.5)
+        # weights (0.5, 0.5): every case scores 0.5 * 2 points, one tie group
+        assert self.groups_after(2, 1) == (("a", "b", "c"),)
 
     def test_at_or_past_cutoff_is_after_only(self):
-        assert interpolate_weights(Cutoff(2, 2)) == (0.0, 1.0)
-        assert interpolate_weights(Cutoff(2, 9)) == (0.0, 1.0)
+        assert self.groups_after(2, 2) == (("c",), ("b",), ("a",))
+        assert self.groups_after(2, 9) == (("c",), ("b",), ("a",))
 
     def test_cutoff_validation(self):
         with pytest.raises(ValueError):
-            Cutoff(0)
-        with pytest.raises(ValueError):
-            Cutoff(3, -1)
+            InterpolatedOrder(BaseOrder(), BaseOrder(), cutoff=0)
 
 
 def failing_history(n=8, cases=("a", "b", "c", "d")):
@@ -221,8 +235,8 @@ class TestInterpolatedOrder:
             inter.observe(record.executions)
             solo.observe(record.executions)
         # the embedded after-child carries exactly the solo-run state
-        assert inter.after._fails.snapshot() == solo._fails.snapshot()
-        assert inter.after._times.snapshot() == solo._times.snapshot()
+        assert inter.after._fails._values == solo._fails._values
+        assert inter.after._times._values == solo._times._values
 
     def test_before_equals_after_collapses_to_single(self):
         history = failing_history(7)
@@ -281,6 +295,13 @@ class TestBreakTies:
     def test_queue_mismatch(self):
         with pytest.raises(QueueMismatchError):
             break_ties(singletons("a"), singletons("b"))
+
+    def test_duplicate_cases_rejected(self):
+        # the same sets of cases, but one ranking holds a case twice
+        with pytest.raises(QueueMismatchError):
+            break_ties(singletons("a", "b"), singletons("a", "b", "b"))
+        with pytest.raises(QueueMismatchError):
+            break_ties(singletons("a", "a", "b"), singletons("a", "b"))
 
 
 class TestBreakTiesCodeDist:
@@ -509,6 +530,14 @@ NEW_REJECTIONS = [
     (
         {"type": "schulze_mix", "children": ONE_CHILD, "max_suite": True},
         "max_suite must be a positive integer, got True",
+    ),
+    (
+        {"type": "fail_density", "alpha_fail": 2**1024},
+        "alpha_fail must fit in a float, got a 1025-bit integer",
+    ),
+    (
+        {"type": "random_mix", "children": [{"weight": 2**1024, "spec": BASE}]},
+        "child weight must fit in a float, got a 1025-bit integer",
     ),
 ]
 

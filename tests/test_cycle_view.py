@@ -4,11 +4,14 @@ Each property compares the library with the earlier implementation kept in
 ``oracles.py``: the replay harness (one dict per cycle and metric, bounds
 recomputed per call), every APFD-family metric and bound, ``napfd``,
 ``ranked_from_scores``, ``flatten`` and ``random_mix``. Equality is exact:
-the same floats, the same exceptions, the same exclusion counts.
+the same floats, the same exceptions, the same exclusion counts. One more
+property holds the view to itself: renaming the cases one-to-one changes
+no metric value.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from types import SimpleNamespace
@@ -205,6 +208,41 @@ def test_non_permutations_rejected_like_old_path(case, data):
         expected = result_of(oracle, broken, record)
         assert expected[0] is ValueError
         assert result_of(getattr(metrics, name), broken, record) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(failing_or_not_cycles(), st.data(), st.integers(0, 8))
+def test_renaming_cases_changes_no_metric(case, data, prefix):
+    record, order = case
+    # new names from another alphabet, so that their sorted order changes too
+    new_names = st.lists(
+        st.text("abz019", min_size=1, max_size=4),
+        min_size=len(order),
+        max_size=len(order),
+        unique=True,
+    )
+    rename = dict(zip(order, data.draw(new_names)))
+    renamed = dataclasses.replace(
+        record,
+        executions=tuple(
+            dataclasses.replace(e, case=rename[e.case]) for e in record.executions
+        ),
+    )
+    renamed_order = [rename[c] for c in order]
+
+    def values(record, order):
+        view = metrics.CycleView(record)
+        scored = view.score(order)
+        names = ("apfd", "apfd_c", "rapfd", "rapfd_c")
+        return (
+            scored.first_fault_time,
+            scored.full_time,
+            [result_of(getattr, scored, name) for name in names],
+            [result_of(getattr, view, name) for name in ("apfd_bounds", "apfd_c_bounds")],
+            result_of(metrics.napfd, order, record, prefix),
+        )
+
+    assert repr(values(renamed, renamed_order)) == repr(values(record, order))
 
 
 scores_st = st.one_of(

@@ -126,6 +126,14 @@ class TestIngest:
         result = ingest(tmp_path, MAPPING, "demo")
         assert [c.index for c in result.history.cycles] == [1, 2]
 
+    @pytest.mark.parametrize("delimiter", ["", "ab"])
+    def test_delimiter_must_be_one_character(self, tmp_path, delimiter):
+        path = write_source(tmp_path, "1,j,c,a,1.0,pass\n")
+        with pytest.raises(DatasetError) as err:
+            ingest(path, MAPPING, "demo", delimiter=delimiter)
+        assert err.value.code == PARSE_ERROR
+        assert err.value.detail == f"delimiter must be one character, got {delimiter!r}"
+
     def test_verdict_failure_counts(self, tmp_path):
         path = write_source(tmp_path, "1,j,c,a,1.0,0\n1,j,c,b,1.0,3\n")
         history = ingest(path, MAPPING, "demo").history

@@ -19,6 +19,7 @@ from oracles import (
     break_ties_oracle,
     code_dist_chain_oracle,
     pairwise_preferences_oracle,
+    safe_distance,
     schulze_mix_oracle,
     strongest_paths_oracle,
 )
@@ -27,7 +28,6 @@ from tcp_lab.approaches import (
     DistanceMetric,
     SourceVectors,
     StartPolicy,
-    safe_distance,
     tokenize,
 )
 from tcp_lab.combinators import (

@@ -7,10 +7,17 @@ import random
 
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import chdtrc
 
+from oracles import descending_ranks_oracle, signed_ranks_oracle
+from tcp_lab import stats
 from tcp_lab.stats import (
     DegenerateMatrixError,
+    FriedmanResult,
     ScoreMatrix,
+    WilcoxonResult,
     cd_grouping,
     friedman,
     holm_adjust,
@@ -235,3 +242,93 @@ class TestCdGrouping:
             # every loose-alpha group is contained in some tight-alpha group
             for group in loose:
                 assert any(set(group) <= set(g) for g in tight)
+
+
+# --- the shared rank loop against the two loops it replaced -----------------
+
+
+def friedman_with_old_ranks(matrix: ScoreMatrix) -> FriedmanResult:
+    """``friedman`` as it was, ranking rows with the old descending loop."""
+    k = len(matrix.approaches)
+    n = len(matrix.projects)
+    rank_sums = [0.0] * k
+    for row in matrix.values:
+        for j, rank in enumerate(descending_ranks_oracle(row)):
+            rank_sums[j] += rank
+    mean_ranks = tuple(total / n for total in rank_sums)
+    center = (k + 1) / 2
+    statistic = 12.0 * n / (k * (k + 1)) * sum(
+        (rank - center) ** 2 for rank in mean_ranks
+    )
+    return FriedmanResult(statistic, float(chdtrc(k - 1, statistic)), mean_ranks)
+
+
+def wilcoxon_with_old_ranks(pairs) -> WilcoxonResult:
+    """``wilcoxon_signed_rank`` as it was, with the old signed-rank loop."""
+    nonzero = [d for d in (x - y for x, y in pairs) if d != 0]
+    if not nonzero:
+        return WilcoxonResult(1.0, 0, True, "all_zero")
+    ranks, w_plus = signed_ranks_oracle(nonzero)
+    if len(nonzero) <= stats.WILCOXON_EXACT_LIMIT:
+        return WilcoxonResult(
+            stats._exact_two_sided(ranks, w_plus), len(nonzero), False, "exact"
+        )
+    return WilcoxonResult(
+        stats._normal_two_sided(ranks, w_plus), len(nonzero), False, "normal"
+    )
+
+
+# Entries that tie often, include -0.0, and give equal or zero differences.
+tied_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, 0.25, 0.5, 1.0]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+tied_matrices = st.integers(2, 6).flatmap(
+    lambda k: st.lists(st.lists(tied_entries, min_size=k, max_size=k), min_size=2, max_size=30)
+)
+
+
+class TestAverageRanks:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_matrices)
+    def test_friedman_matches_old_loop(self, values):
+        m = matrix(values)
+        assert repr(friedman(m)) == repr(friedman_with_old_ranks(m))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(tied_entries, tied_entries), min_size=1, max_size=30))
+    def test_wilcoxon_matches_old_loop(self, pairs):
+        assert repr(wilcoxon_signed_rank(pairs)) == repr(wilcoxon_with_old_ranks(pairs))
+
+
+@st.composite
+def shifted_matrices(draw):
+    """Tied rows; a per-column shift makes the omnibus test reject often."""
+    n = draw(st.integers(2, 26))
+    k = draw(st.integers(2, 5))
+    shifts = draw(st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=k, max_size=k))
+    # a shift of 0 leaves the entry as drawn, -0.0 included
+    values = [
+        [draw(tied_entries) + shift if shift else draw(tied_entries) for shift in shifts]
+        for _ in range(n)
+    ]
+    return matrix(values)
+
+
+class TestCdGroupingInvariance:
+    """Row order and a doubling of every entry (exact) change no CD result.
+
+    A monotone transform of one row is no such invariant: the pairwise
+    Wilcoxon tests run on the raw differences.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(shifted_matrices(), st.randoms(use_true_random=False), st.sampled_from([0.05, 0.2]))
+    def test_row_order_and_doubling(self, m, rng, alpha):
+        expected = repr(cd_grouping(m, alpha))
+        rows = list(zip(m.projects, m.values))
+        rng.shuffle(rows)
+        shuffled = ScoreMatrix(m.approaches, [p for p, _ in rows], [v for _, v in rows])
+        assert repr(cd_grouping(shuffled, alpha)) == expected
+        doubled = [[2 * entry for entry in row] for row in m.values]
+        assert repr(cd_grouping(matrix(doubled), alpha)) == expected
