@@ -69,9 +69,6 @@ class SmoothedSeries:
     def value(self, case: TestCaseId) -> float:
         return self._values.get(case, 0.0)
 
-    def reset(self) -> None:
-        self._values.clear()
-
 
 class BaseOrder(Approach):
     """Run the suite in its original arrangement; the no-prioritization baseline."""
@@ -89,7 +86,8 @@ class RandomOrder(Approach):
 
     def __init__(self, seed: int = 0):
         self.seed = seed
-        self.reset()
+        self._stream = random.Random(seed)
+        self._cycle_seed = self._stream.getrandbits(64)
 
     def rank(self, suite: Sequence[TestCaseId]) -> RankedSuite:
         order = list(suite)
@@ -97,10 +95,6 @@ class RandomOrder(Approach):
         return RankedSuite(tuple((case,) for case in order))
 
     def observe(self, executions: Sequence[TestExecution]) -> None:
-        self._cycle_seed = self._stream.getrandbits(64)
-
-    def reset(self) -> None:
-        self._stream = random.Random(self.seed)
         self._cycle_seed = self._stream.getrandbits(64)
 
 
@@ -116,9 +110,6 @@ class RecentnessOrder(Approach):
     def observe(self, executions: Sequence[TestExecution]) -> None:
         for execution in executions:
             self._appearances[execution.case] += 1
-
-    def reset(self) -> None:
-        self._appearances.clear()
 
 
 class Folder(enum.Enum):
@@ -161,11 +152,6 @@ class FoldFailsOrder(Approach):
             else:
                 self._sums[execution.case] += int(indicator)
 
-    def reset(self) -> None:
-        if self._smoothed is not None:
-            self._smoothed.reset()
-        self._sums.clear()
-
 
 class ExeTimeOrder(Approach):
     """Cheapest-first by exponentially smoothed execution time.
@@ -185,9 +171,6 @@ class ExeTimeOrder(Approach):
     def observe(self, executions: Sequence[TestExecution]) -> None:
         for execution in executions:
             self._smoothed.update(execution.case, execution.duration)
-
-    def reset(self) -> None:
-        self._smoothed.reset()
 
 
 class FailDensityOrder(Approach):
@@ -213,10 +196,6 @@ class FailDensityOrder(Approach):
         for execution in executions:
             self._fails.update(execution.case, 1.0 if execution.failed else 0.0)
             self._times.update(execution.case, execution.duration)
-
-    def reset(self) -> None:
-        self._fails.reset()
-        self._times.reset()
 
 
 _NON_ALNUM = re.compile(r"[^0-9A-Za-z]+")

@@ -57,10 +57,21 @@ def _env_seed() -> int | None:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
+def _read_json(path: Path | str):
+    """Parse a JSON file; any ``ValueError`` becomes a :class:`ConfigError`.
+
+    That covers bad JSON, text that is not UTF-8, and an integer literal over
+    Python's int-to-str digit limit (a plain ``ValueError``).
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as error:
+        raise ConfigError(str(error)) from None
+
+
 def _cmd_ingest(args: argparse.Namespace) -> int:
     try:
-        mapping_raw = json.loads(Path(args.mapping).read_text(encoding="utf-8"))
-        mapping = ColumnMapping.from_dict(mapping_raw)
+        mapping = ColumnMapping.from_dict(_read_json(args.mapping))
         project = args.project or Path(args.out).stem
         result = ingest(args.input, mapping, project, delimiter=args.delimiter)
         history = result.history
@@ -69,7 +80,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             table = read_build_times(args.build_times)
             history, mismatches = join_build_times(history, table)
         write_canonical(history, args.out)
-    except (DatasetError, OSError, json.JSONDecodeError) as error:
+    except (DatasetError, ConfigError, OSError) as error:
         return _fail(str(error))
     executions = sum(len(c.executions) for c in history.cycles)
     print(
@@ -83,7 +94,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     try:
-        raw = json.loads(config_path.read_text(encoding="utf-8"))
+        raw = _read_json(config_path)
         config = EvaluationConfig.from_dict(raw, base_dir=config_path.parent)
         env_seed = _env_seed()
         if env_seed is not None:
@@ -93,7 +104,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 build(spec, master_seed=0)
             except InvalidSpecError as error:
                 raise ConfigError(f"approach {name!r}: {error}") from None
-    except (ConfigError, OSError, json.JSONDecodeError) as error:
+    except (ConfigError, OSError) as error:
         return _fail(str(error))
     outcomes = run_evaluation(config, jobs=args.jobs)
     write_outcomes(Path(args.out), config, outcomes)
@@ -132,7 +143,7 @@ def _cmd_prioritize(args: argparse.Namespace) -> int:
                 raise InvalidSpecError(f"unknown preset {args.preset!r}")
             spec = args.preset
         else:
-            spec = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+            spec = _read_json(args.spec)
         history = read_canonical(args.history)
         if args.sources:
             history = attach_sources(history, args.sources)
@@ -157,7 +168,6 @@ def _cmd_prioritize(args: argparse.Namespace) -> int:
         ConfigError,
         DatasetError,
         OSError,
-        json.JSONDecodeError,
     ) as error:
         return _fail(str(error))
     return 0

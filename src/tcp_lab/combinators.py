@@ -2,8 +2,8 @@
 
 Combinators treat sub-approaches as black boxes: each cycle every active
 child prioritizes the suite independently and only the resulting rankings
-are merged. Execution feedback and resets propagate to all children, even
-those whose weight currently excludes them from ranking, so children keep
+are merged. Execution feedback propagates to all children, even those
+whose weight currently excludes them from ranking, so children keep
 training throughout.
 
 The module also defines the declarative spec-tree format (JSON-compatible
@@ -305,7 +305,7 @@ def break_ties_codedist(
 
 
 class _Combined(Approach):
-    """Shared feedback/reset propagation over child approaches."""
+    """Shared feedback propagation over child approaches."""
 
     def __init__(self, children: Sequence[Approach]):
         self._children = list(children)
@@ -313,10 +313,6 @@ class _Combined(Approach):
     def observe(self, executions: Sequence[TestExecution]) -> None:
         for child in self._children:
             child.observe(executions)
-
-    def reset(self) -> None:
-        for child in self._children:
-            child.reset()
 
     def _active(self, weights: Sequence[float]) -> tuple[list[Approach], list[float]]:
         """The children with positive weight, and their weights."""
@@ -345,10 +341,7 @@ class RandomMixedOrder(_MixedOrder):
     def __init__(self, children: Sequence[tuple[Approach, float]], seed: int = 0):
         super().__init__(children)
         self.seed = seed
-        self._reset_seed_stream()
-
-    def _reset_seed_stream(self) -> None:
-        self._stream = random.Random(self.seed)
+        self._stream = random.Random(seed)
         self._cycle_seed = self._stream.getrandbits(64)
 
     def rank(self, suite: Sequence[TestCaseId]) -> RankedSuite:
@@ -361,10 +354,6 @@ class RandomMixedOrder(_MixedOrder):
     def observe(self, executions: Sequence[TestExecution]) -> None:
         super().observe(executions)
         self._cycle_seed = self._stream.getrandbits(64)
-
-    def reset(self) -> None:
-        super().reset()
-        self._reset_seed_stream()
 
 
 class BordaMixedOrder(_MixedOrder):
@@ -436,10 +425,6 @@ class InterpolatedOrder(_Combined):
             e.failed for e in executions
         ):
             self._progress += 1
-
-    def reset(self) -> None:
-        super().reset()
-        self._progress = 0
 
 
 class GenericBrokenOrder(_Combined):

@@ -16,7 +16,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from tcp_lab.model import (
     CycleRecord,
@@ -360,16 +360,12 @@ def join_build_times(
     return ProjectHistory(history.project, tuple(cycles), history.sources), mismatches
 
 
-def package_path_candidates(
-    case: TestCaseId,
-    suffixes: Sequence[str] = DEFAULT_SOURCE_SUFFIXES,
-    roots: Sequence[str] = DEFAULT_SOURCE_ROOTS,
-) -> list[str]:
+def package_path_candidates(case: TestCaseId) -> list[str]:
     """Relative paths a test class name may live at (dots become separators)."""
     stem = case.replace(".", "/")
     candidates = []
-    for root in roots:
-        for suffix in suffixes:
+    for root in DEFAULT_SOURCE_ROOTS:
+        for suffix in DEFAULT_SOURCE_SUFFIXES:
             candidates.append(f"{root}/{stem}{suffix}" if root else f"{stem}{suffix}")
     return candidates
 
@@ -378,8 +374,6 @@ def attach_sources(
     history: ProjectHistory,
     checkout_root: Path | str,
     commit_resolver: Callable[[str], Path | None] | None = None,
-    suffixes: Sequence[str] = DEFAULT_SOURCE_SUFFIXES,
-    roots: Sequence[str] = DEFAULT_SOURCE_ROOTS,
 ) -> ProjectHistory:
     """Attach source texts for cases resolvable in a VCS checkout.
 
@@ -408,7 +402,7 @@ def attach_sources(
             if case in resolved or (tree, case) in tried:
                 continue
             tried.add((tree, case))
-            for candidate in package_path_candidates(case, suffixes, roots):
+            for candidate in package_path_candidates(case):
                 path = tree / candidate
                 if path.is_file():
                     try:

@@ -4,8 +4,8 @@ A test suite is prioritized into a :class:`RankedSuite`, an ordered partition
 of the suite into tie groups. Approaches implement :class:`Approach` and obey
 a strict replay protocol: ``rank`` sees only the case identifiers of the
 cycle about to run (never its verdicts or durations), ``observe`` is called
-exactly once per cycle after ranking, and ``reset`` restores the initial
-state. :func:`validate_ranking` enforces the partition guarantees and
+exactly once per cycle after ranking, and each replay builds a new instance.
+:func:`validate_ranking` enforces the partition guarantees and
 :func:`flatten` turns a ranking into an executable total order.
 """
 
@@ -151,12 +151,6 @@ class RankedSuite:
         if not all(groups):
             raise ValueError("ranking groups must be non-empty")
 
-    def __iter__(self):
-        return iter(self.groups)
-
-    def __len__(self) -> int:
-        return len(self.groups)
-
     def cases(self) -> tuple[TestCaseId, ...]:
         """All cases in group order (within groups: original order)."""
         return tuple(chain.from_iterable(self.groups))
@@ -242,11 +236,10 @@ class Approach(ABC):
     durations are not available to it by construction. ``observe`` is called
     exactly once per cycle, after ``rank``, with the cycle's full execution
     results. ``rank`` must be free of state changes so that repeated calls
-    under the same observe history return the same ranking. ``reset``
-    restores the freshly constructed state.
+    under the same observe history return the same ranking.
 
-    Instances are stateful and confined to a single replay sequence; run
-    distinct instances for concurrent evaluations.
+    Instances are stateful and live for a single replay sequence: a new
+    replay, or a concurrent one, builds a new instance.
     """
 
     @abstractmethod
@@ -255,6 +248,3 @@ class Approach(ABC):
 
     def observe(self, executions: Sequence[TestExecution]) -> None:
         """Consume one cycle's execution results."""
-
-    def reset(self) -> None:
-        """Restore the initial state."""

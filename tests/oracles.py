@@ -118,13 +118,6 @@ def exhaustive_extrema(cycle: CycleRecord, value_of) -> tuple[float, float]:
     return min(values), max(values)
 
 
-def all_permutation_values(cycle: CycleRecord, value_of) -> list[tuple[tuple[str, ...], float]]:
-    return [
-        (tuple(e.case for e in perm), value_of(perm))
-        for perm in permutations(cycle.executions)
-    ]
-
-
 def widest_path_oracle(d: Sequence[Sequence[float]], start: int, goal: int) -> float:
     """Max over all simple paths of the minimum edge weight, by enumeration."""
     n = len(d)

@@ -71,12 +71,10 @@ class TestBaseOrder:
         ranking = BaseOrder().rank(["b", "a", "c"])
         assert ranking.groups == (("b",), ("a",), ("c",))
 
-    def test_stateless_under_observe_and_reset(self):
+    def test_stateless_under_observe(self):
         approach = BaseOrder()
         before = approach.rank(["b", "a"])
         approach.observe(cycle(0, ["b", "a"], failures=["a"]).executions)
-        assert approach.rank(["b", "a"]) == before
-        approach.reset()
         assert approach.rank(["b", "a"]) == before
 
 

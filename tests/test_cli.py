@@ -84,6 +84,26 @@ def write_config(tmp_path, projects, approaches, **extra):
     return path
 
 
+# JSON files that ``json.loads`` rejects with a plain ``ValueError`` rather
+# than a ``JSONDecodeError``: an integer literal over Python's int-to-str
+# digit limit (4300 digits), and bytes that are not UTF-8.
+UNREADABLE_JSON = {
+    "huge_int": b'{"type": "exe_time", "alpha": ' + b"1" * 5001 + b"}",
+    "not_utf8": b'{"type": "exe_time", "alpha": 0.5, "note": "\xff"}',
+}
+
+
+def unreadable_json(tmp_path, kind):
+    """Write one of ``UNREADABLE_JSON``; return its path and the expected stderr."""
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(UNREADABLE_JSON[kind])
+    try:
+        json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as error:
+        return path, f"error: {error}\n"
+    raise AssertionError(f"{kind} must not parse")
+
+
 class TestIngestCommand:
     def test_valid_dataset_writes_canonical(self, rtp_like_dataset, tmp_path, capsys):
         data, mapping = rtp_like_dataset
@@ -147,6 +167,16 @@ class TestIngestCommand:
         assert capsys.readouterr().err == (
             f"error: PARSE_ERROR: delimiter must be one character, got {delimiter!r}\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE_JSON))
+    def test_unreadable_mapping_exits_2(self, rtp_like_dataset, tmp_path, capsys, kind):
+        data, _ = rtp_like_dataset
+        mapping, expected = unreadable_json(tmp_path, kind)
+        out = tmp_path / "x.csv"
+        argv = ["ingest", "--in", str(data), "--mapping", str(mapping), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == expected
         assert not out.exists()
 
     def test_build_time_join_reported(self, rtp_like_dataset, tmp_path, capsys):
@@ -300,6 +330,14 @@ class TestEvaluateCommand:
         )
         assert main(["evaluate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: approach 'big': {message}\n"
+
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE_JSON))
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, kind):
+        config, expected = unreadable_json(tmp_path, kind)
+        out = tmp_path / "o"
+        assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         paths = [
@@ -546,6 +584,13 @@ class TestPrioritizeCommand:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE_JSON))
+    def test_unreadable_spec_exits_2(self, tmp_path, capsys, kind):
+        spec, expected = unreadable_json(tmp_path, kind)
+        argv = ["prioritize", "--history", str(self.history_path(tmp_path))]
+        assert main(argv + ["--spec", str(spec), "--cycle", "1"]) == 2
+        assert capsys.readouterr() == ("", expected)
 
     def test_unknown_cycle_exits_2(self, tmp_path, capsys):
         code = main(

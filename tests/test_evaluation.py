@@ -57,10 +57,6 @@ class SentinelApproach(Approach):
         assert self.ranked_cycles == self.observed_cycles + 1
         self.observed_cycles += 1
 
-    def reset(self) -> None:
-        self.observed_cycles = 0
-        self.ranked_cycles = 0
-
 
 class TestProtocolSafety:
     def test_sentinel_sees_only_prior_cycles(self, monkeypatch):

@@ -174,15 +174,6 @@ class TestApproachContract:
                 assert approach.rank(suite) == approach.rank(suite), name
                 approach.observe(record.executions)
 
-    def test_reset_restores_initial_behavior(self):
-        rng = random.Random(3)
-        history = random_history(rng, n_cycles=6)
-        for name, approach in build_all(history).items():
-            first = replay(approach, history, validate=False)
-            approach.reset()
-            second = replay(approach, history, validate=False)
-            assert first == second, name
-
     def test_equal_seeds_replay_identically(self):
         rng = random.Random(11)
         history = random_history(rng, n_cycles=6)

@@ -8,6 +8,10 @@ replay to the same rankings and give the same ``spec_is_randomized``; a
 tree with one injected fault must fail with the same message. The old
 builder let ``AlphaRangeError`` escape where the table raises
 ``InvalidSpecError``, with the same text.
+
+The same valid trees check the approach contract that fresh builds per
+replay rely on: ranking twice under one observe history gives one ranking,
+and two builds with equal ``master_seed`` replay identically.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from oracles import build_oracle, spec_is_randomized_oracle
 from synth import example_sources, random_history, replay
 from tcp_lab.approaches import AlphaRangeError
 from tcp_lab.combinators import PRESETS, InvalidSpecError, build, spec_is_randomized
+from tcp_lab.model import validate_ranking
 
 HISTORY = random_history(random.Random(5), n_cycles=5, pool_size=6)
 # two cases keep no source, so the empty vector takes part too
@@ -200,6 +205,21 @@ def test_valid_trees_build_and_replay_as_before(spec, master_seed):
     assert seeds_of(built) == seeds_of(expected)
     assert replay(built, HISTORY) == replay(expected, HISTORY)
     assert spec_is_randomized(spec) == spec_is_randomized_oracle(spec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=spec_trees(), master_seed=st.integers(0, 2**64))
+def test_valid_trees_rank_repeatably_and_rebuild_identically(spec, master_seed):
+    first = build(spec, sources=SOURCES, master_seed=master_seed)
+    second = build(spec, sources=SOURCES, master_seed=master_seed)
+    for record in HISTORY.cycles:
+        suite = list(record.suite)
+        ranking = first.rank(suite)
+        validate_ranking(suite, ranking)
+        assert first.rank(suite) == ranking
+        assert second.rank(suite) == ranking
+        first.observe(record.executions)
+        second.observe(record.executions)
 
 
 @settings(max_examples=300, deadline=None)
