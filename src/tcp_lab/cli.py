@@ -9,6 +9,9 @@ approach would run a given cycle in.
 Exit codes: 0 success, 1 partial failure (some project failed while others
 completed), 2 usage or configuration error. The ``TCP_LAB_SEED`` environment
 variable overrides the master seed.
+
+Each command imports the modules it runs when it runs, so that no command
+pays for another's imports (numpy and scipy above all).
 """
 
 from __future__ import annotations
@@ -20,24 +23,7 @@ import os
 import sys
 from pathlib import Path
 
-from tcp_lab.combinators import PRESETS, InvalidSpecError, SuiteTooLargeError, build
-from tcp_lab.dataset import (
-    ColumnMapping,
-    DatasetError,
-    attach_sources,
-    ingest,
-    join_build_times,
-    read_build_times,
-    read_canonical,
-    write_canonical,
-)
-from tcp_lab.evaluation import (
-    ConfigError,
-    EvaluationConfig,
-    run_evaluation,
-    write_outcomes,
-)
-from tcp_lab.model import FlattenPolicy, flatten
+from tcp_lab.model import ConfigError, FlattenPolicy, flatten
 
 SEED_ENV_VAR = "TCP_LAB_SEED"
 
@@ -70,6 +56,15 @@ def _read_json(path: Path | str):
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
+    from tcp_lab.dataset import (
+        ColumnMapping,
+        DatasetError,
+        ingest,
+        join_build_times,
+        read_build_times,
+        write_canonical,
+    )
+
     try:
         mapping = ColumnMapping.from_dict(_read_json(args.mapping))
         project = args.project or Path(args.out).stem
@@ -92,6 +87,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from tcp_lab.combinators import InvalidSpecError, build
+    from tcp_lab.evaluation import EvaluationConfig, run_evaluation, write_outcomes
+
     config_path = Path(args.config)
     try:
         raw = _read_json(config_path)
@@ -124,12 +122,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    # imported here: report pulls in scipy.special, which the other commands never use
     from tcp_lab.report import ReportError, write_report
 
     try:
         written = write_report(args.raw, args.out, fmt=args.format, alpha=args.alpha)
-    except (ReportError, OSError, json.JSONDecodeError) as error:
+    except (ReportError, OSError) as error:
         return _fail(str(error))
     for path in written:
         print(path)
@@ -137,6 +134,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_prioritize(args: argparse.Namespace) -> int:
+    from tcp_lab.combinators import PRESETS, InvalidSpecError, SuiteTooLargeError, build
+    from tcp_lab.dataset import DatasetError, attach_sources, read_canonical
+
     try:
         if args.preset:
             if args.preset not in PRESETS:

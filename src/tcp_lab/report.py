@@ -14,12 +14,11 @@ CSV files.
 from __future__ import annotations
 
 import json
+import math
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from tcp_lab.stats import DegenerateMatrixError, ScoreMatrix, cd_grouping
 
@@ -35,10 +34,18 @@ def _aggregate_key(metric: str) -> str:
 
 
 def load_summary(eval_dir: Path | str) -> dict:
+    """The parsed ``summary.json``; any ``ValueError`` becomes a :class:`ReportError`.
+
+    That covers bad JSON, text that is not UTF-8, and an integer literal over
+    Python's int-to-str digit limit (a plain ``ValueError``).
+    """
     path = Path(eval_dir) / "summary.json"
     if not path.is_file():
         raise ReportError(f"no summary.json under {eval_dir}")
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as error:
+        raise ReportError(str(error)) from None
 
 
 @dataclass(frozen=True)
@@ -146,6 +153,23 @@ def render_table_markdown(table: MetricTable, decimals: int = 3) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _percentile(ordered: Sequence[float], percent: float) -> float:
+    """numpy.percentile's default ('linear') rule over ascending values.
+
+    The same float operations in the same order give the same result; only
+    the sign of a zero may differ (numpy's partition picks either of two
+    equal zeros).
+    """
+    last = len(ordered) - 1
+    index = last * (percent / 100)
+    low = min(math.floor(index), last)
+    high = min(low + 1, last)
+    a, b = ordered[low], ordered[high]
+    t = index - low
+    # numpy's lerp, computed from the nearer end
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def boxplot_rows(table: MetricTable) -> list[dict]:
     """Boxplot elements per approach over the per-project values."""
     rows = []
@@ -153,7 +177,8 @@ def boxplot_rows(table: MetricTable) -> list[dict]:
         values = [row[j] for row in table.cells if row[j] is not None]
         if not values:
             continue
-        q1, median, q3 = (float(q) for q in np.percentile(values, [25, 50, 75]))
+        ordered = sorted(values)
+        q1, median, q3 = (_percentile(ordered, q) for q in (25, 50, 75))
         iqr = q3 - q1
         in_low = [v for v in values if v >= q1 - 1.5 * iqr]
         in_high = [v for v in values if v <= q3 + 1.5 * iqr]
@@ -245,6 +270,8 @@ def write_report(
     """
     if fmt not in ("csv", "md"):
         raise ReportError(f"unknown report format {fmt!r}")
+    if not 0 < alpha < 1:
+        raise ReportError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
     summary = load_summary(eval_dir)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

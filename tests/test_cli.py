@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synth import cycle, random_history
 from tcp_lab.cli import main
@@ -13,6 +17,7 @@ from tcp_lab.dataset import read_canonical, write_canonical
 from tcp_lab.model import ProjectHistory
 from tcp_lab.report import (
     MetricTable,
+    _percentile,
     boxplot_rows,
     render_table_markdown,
 )
@@ -411,6 +416,27 @@ class TestReportCommand:
             == 2
         )
 
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE_JSON))
+    def test_unreadable_summary_exits_2(self, tmp_path, capsys, kind):
+        path, expected = unreadable_json(tmp_path, kind)
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        path.rename(raw / "summary.json")
+        assert main(["report", "--raw", str(raw), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == expected
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-1", "0", "1", "2"])
+    def test_alpha_outside_open_unit_interval_exits_2(self, tmp_path, capsys, alpha):
+        out = self.evaluated_dir(tmp_path)
+        capsys.readouterr()
+        report_dir = tmp_path / "report"
+        argv = ["report", "--raw", str(out), "--out", str(report_dir), "--alpha", alpha]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: alpha must lie strictly between 0 and 1, got {float(alpha)!r}\n"
+        )
+        assert not report_dir.exists()
+
 
 class TestReportRendering:
     def table(self, cells):
@@ -454,6 +480,20 @@ class TestReportRendering:
         assert row["whisker_low"] == 1.0
         assert row["whisker_high"] == 4.0
         assert row["outliers"] == []
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30),
+        st.one_of(st.sampled_from([0, 25, 50, 75, 100]), st.floats(0, 100)),
+    )
+    def test_percentile_equals_numpy(self, values, percent):
+        got = _percentile(sorted(values), percent)
+        want = float(np.percentile(values, percent))
+        # an overflowing difference of neighbours gives nan on both sides
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        # numpy's partition may return either of two equal signed zeros
+        if not any(v == 0 and math.copysign(1, v) < 0 for v in values):
+            assert repr(got) == repr(want)
 
     def test_boxplot_outliers_beyond_whiskers(self):
         values = [1.0, 1.1, 1.2, 1.3, 9.9]

@@ -9,6 +9,7 @@ import pytest
 
 from oracles import build_oracle, spec_is_randomized_oracle, widest_path_oracle
 from synth import cycle, random_history, replay
+from tcp_lab import approaches
 from tcp_lab.approaches import (
     BaseOrder,
     CodeDistOrder,
@@ -336,6 +337,29 @@ class TestBreakTiesCodeDist:
         primary = RankedSuite((("a", "b"), ("c", "d")))
         out = break_ties_codedist(primary, vectors, DistanceMetric.EUCLIDEAN)
         assert order_of(out) == ["a", "b", "c", "d"]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"type": "code_dist"}, {"type": "code_dist", "metric": "cosine"}, "P3.2"],
+    ids=["code_dist", "code_dist_cosine", "P3.2"],
+)
+def test_build_tokenizes_so_that_rank_does_not(monkeypatch, spec):
+    """All tokenizing happens in ``build``, outside the timed ``rank``."""
+    calls = []
+    tokenize = approaches.tokenize
+    monkeypatch.setattr(
+        approaches, "tokenize", lambda text: calls.append(text) or tokenize(text)
+    )
+    sources = {"a": "int alpha;", "b": "int beta; int alpha;", "c": "fooBar()"}
+    approach = build(spec, sources=sources)
+    assert sorted(calls) == sorted(sources.values())
+    del calls[:]
+    history = random_history(random.Random(3), n_cycles=4)
+    for record in history.cycles:
+        approach.rank(list(record.suite) + ["a", "b", "c", "d"])
+        approach.observe(record.executions)
+    assert calls == []
 
 
 class TestBuildAndSpecs:

@@ -6,6 +6,7 @@ import math
 import random
 
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -332,3 +333,68 @@ class TestCdGroupingInvariance:
         assert repr(cd_grouping(shuffled, alpha)) == expected
         doubled = [[2 * entry for entry in row] for row in m.values]
         assert repr(cd_grouping(matrix(doubled), alpha)) == expected
+
+
+# --- the chi-square tail against scipy.special.chdtrc -----------------------
+
+
+@st.composite
+def chi_square_points(draw):
+    """(df, x) with x / 2 in one branch of ``igamc(a = df / 2, x / 2)``."""
+    # the branch boundaries at x / 2 of 0.5 and 1.1 matter most for small a
+    df = draw(st.one_of(st.integers(1, 4), st.integers(1, 1000)))
+    a = df / 2
+    branch = draw(
+        st.sampled_from(["small", "middle", "below_a", "above_a", "temme", "log1pmx"])
+    )
+    if branch == "small":  # the series in x or in a, by -0.4 / log(x) < a
+        half = draw(st.floats(0, 0.5, exclude_min=True))
+    elif branch == "middle":
+        half = draw(st.floats(0.5, 1.1, exclude_min=True))
+    elif branch == "below_a" and a > 1.2:  # igam's series
+        half = draw(st.floats(1.1, a, exclude_min=True, exclude_max=True))
+    elif branch == "temme" and a > 20:  # delegated to scipy
+        width = min(0.3, 4.5 / math.sqrt(a))
+        half = a * (1 + draw(st.floats(-width, width, exclude_min=True, exclude_max=True)))
+    elif branch == "log1pmx":  # Lanczos factor with x or a of 200 and more
+        df = draw(st.integers(400, 1000))
+        a = df / 2
+        ratio = draw(st.floats(4.5 / math.sqrt(a), 0.4))
+        half = a * (1 + draw(st.sampled_from([-1, 1])) * ratio)
+    else:  # the continued fraction
+        half = draw(st.floats(max(a, 1.1), 50 * a + 100, exclude_min=True))
+    return df, 2 * half
+
+
+class TestChiSquareTail:
+    @settings(max_examples=3000, deadline=None)
+    @given(chi_square_points())
+    def test_equals_scipy_bit_for_bit(self, point):
+        df, x = point
+        assert repr(stats._chdtrc(df, x)) == repr(float(chdtrc(df, x)))
+
+    @pytest.mark.parametrize("df", [1, 2, 41, 1000])
+    @pytest.mark.parametrize("x", [0.0, 5e-324, 1e-300, 1e308])
+    def test_edges_equal_scipy(self, df, x):
+        assert repr(stats._chdtrc(df, x)) == repr(float(chdtrc(df, x)))
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        st.one_of(
+            st.floats(0, 1, exclude_min=True),
+            st.floats(1, 13),
+            st.floats(13, 2000),
+            st.floats(2000, 1e9),
+        )
+    )
+    def test_lgam_equals_gammaln(self, x):
+        assert repr(stats._lgam(x)) == repr(float(scipy.special.gammaln(x)))
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(st.floats(-0.5, 0.5), st.floats(-700, 700)))
+    def test_expm1_equals_scipy(self, x):
+        assert repr(stats._expm1(x)) == repr(float(scipy.special.expm1(x)))
+
+    @pytest.mark.parametrize("n", range(2, 42))
+    def test_zeta_at_one_equals_scipy(self, n):
+        assert repr(stats._zeta1(n)) == repr(float(scipy.special.zeta(n, 1)))
