@@ -7,8 +7,11 @@ data, and critical-difference data, and ``prioritize`` prints the order one
 approach would run a given cycle in.
 
 Exit codes: 0 success, 1 partial failure (some project failed while others
-completed), 2 usage or configuration error. The ``TCP_LAB_SEED`` environment
-variable overrides the master seed.
+completed), 2 usage or input error. Every input error is an
+:class:`~tcp_lab.model.InputError` (or an ``OSError``); :func:`main` alone
+turns it into one ``error:`` line on stderr. Any other exception is a bug and
+keeps its traceback. The ``TCP_LAB_SEED`` environment variable overrides the
+master seed.
 
 Each command imports the modules it runs when it runs, so that no command
 pays for another's imports (numpy and scipy above all).
@@ -18,19 +21,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
 
-from tcp_lab.model import ConfigError, FlattenPolicy, flatten
+from tcp_lab.model import ConfigError, FlattenPolicy, InputError, flatten, read_json
 
 SEED_ENV_VAR = "TCP_LAB_SEED"
-
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
 
 
 def _env_seed() -> int | None:
@@ -43,40 +40,24 @@ def _env_seed() -> int | None:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
-def _read_json(path: Path | str):
-    """Parse a JSON file; any ``ValueError`` becomes a :class:`ConfigError`.
-
-    That covers bad JSON, text that is not UTF-8, and an integer literal over
-    Python's int-to-str digit limit (a plain ``ValueError``).
-    """
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as error:
-        raise ConfigError(str(error)) from None
-
-
 def _cmd_ingest(args: argparse.Namespace) -> int:
     from tcp_lab.dataset import (
         ColumnMapping,
-        DatasetError,
         ingest,
         join_build_times,
         read_build_times,
         write_canonical,
     )
 
-    try:
-        mapping = ColumnMapping.from_dict(_read_json(args.mapping))
-        project = args.project or Path(args.out).stem
-        result = ingest(args.input, mapping, project, delimiter=args.delimiter)
-        history = result.history
-        mismatches = 0
-        if args.build_times:
-            table = read_build_times(args.build_times)
-            history, mismatches = join_build_times(history, table)
-        write_canonical(history, args.out)
-    except (DatasetError, ConfigError, OSError) as error:
-        return _fail(str(error))
+    mapping = ColumnMapping.from_dict(read_json(args.mapping))
+    project = args.project or Path(args.out).stem
+    result = ingest(args.input, mapping, project, delimiter=args.delimiter)
+    history = result.history
+    mismatches = 0
+    if args.build_times:
+        table = read_build_times(args.build_times)
+        history, mismatches = join_build_times(history, table)
+    write_canonical(history, args.out)
     executions = sum(len(c.executions) for c in history.cycles)
     print(
         f"project={history.project} cycles={len(history.cycles)} "
@@ -87,23 +68,13 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    from tcp_lab.combinators import InvalidSpecError, build
     from tcp_lab.evaluation import EvaluationConfig, run_evaluation, write_outcomes
 
     config_path = Path(args.config)
-    try:
-        raw = _read_json(config_path)
-        config = EvaluationConfig.from_dict(raw, base_dir=config_path.parent)
-        env_seed = _env_seed()
-        if env_seed is not None:
-            config = dataclasses.replace(config, seed=env_seed)
-        for name, spec in config.approaches.items():
-            try:
-                build(spec, master_seed=0)
-            except InvalidSpecError as error:
-                raise ConfigError(f"approach {name!r}: {error}") from None
-    except (ConfigError, OSError) as error:
-        return _fail(str(error))
+    config = EvaluationConfig.from_dict(read_json(config_path), base_dir=config_path.parent)
+    env_seed = _env_seed()
+    if env_seed is not None:
+        config = dataclasses.replace(config, seed=env_seed)
     outcomes = run_evaluation(config, jobs=args.jobs)
     write_outcomes(Path(args.out), config, outcomes)
     failed = False
@@ -122,54 +93,32 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from tcp_lab.report import ReportError, write_report
+    from tcp_lab.report import write_report
 
-    try:
-        written = write_report(args.raw, args.out, fmt=args.format, alpha=args.alpha)
-    except (ReportError, OSError) as error:
-        return _fail(str(error))
-    for path in written:
+    for path in write_report(args.raw, args.out, fmt=args.format, alpha=args.alpha):
         print(path)
     return 0
 
 
 def _cmd_prioritize(args: argparse.Namespace) -> int:
-    from tcp_lab.combinators import PRESETS, InvalidSpecError, SuiteTooLargeError, build
-    from tcp_lab.dataset import DatasetError, attach_sources, read_canonical
+    from tcp_lab.combinators import build
+    from tcp_lab.dataset import attach_sources, read_canonical
 
-    try:
-        if args.preset:
-            if args.preset not in PRESETS:
-                raise InvalidSpecError(f"unknown preset {args.preset!r}")
-            spec = args.preset
-        else:
-            spec = _read_json(args.spec)
-        history = read_canonical(args.history)
-        if args.sources:
-            history = attach_sources(history, args.sources)
-        target = None
-        for position, cycle in enumerate(history.cycles):
-            if cycle.index == args.cycle:
-                target = position
-                break
-        if target is None:
-            return _fail(f"UNKNOWN_CYCLE: no cycle with index {args.cycle}")
-        env_seed = _env_seed()
-        seed = args.seed if args.seed is not None else (env_seed if env_seed is not None else 0)
-        approach = build(spec, sources=history.sources, master_seed=seed)
-        for cycle in history.cycles[:target]:
-            approach.observe(cycle.executions)
-        ranking = approach.rank(list(history.cycles[target].suite))
-        for case in flatten(ranking, FlattenPolicy.STABLE):
-            print(case)
-    except (
-        InvalidSpecError,
-        SuiteTooLargeError,
-        ConfigError,
-        DatasetError,
-        OSError,
-    ) as error:
-        return _fail(str(error))
+    spec = args.preset if args.spec is None else read_json(args.spec)
+    history = read_canonical(args.history)
+    if args.sources:
+        history = attach_sources(history, args.sources)
+    env_seed = _env_seed()
+    seed = args.seed if args.seed is not None else (env_seed if env_seed is not None else 0)
+    approach = build(spec, sources=history.sources, master_seed=seed)
+    target = next((i for i, c in enumerate(history.cycles) if c.index == args.cycle), None)
+    if target is None:
+        raise ConfigError(f"UNKNOWN_CYCLE: no cycle with index {args.cycle}")
+    for cycle in history.cycles[:target]:
+        approach.observe(cycle.executions)
+    ranking = approach.rank(list(history.cycles[target].suite))
+    for case in flatten(ranking, FlattenPolicy.STABLE):
+        print(case)
     return 0
 
 
@@ -222,7 +171,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exit_:
         return int(exit_.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (InputError, OSError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 def entry_point() -> None:

@@ -40,6 +40,7 @@ from tcp_lab.approaches import (
 from tcp_lab.model import (
     Approach,
     FlattenPolicy,
+    InputError,
     RankedSuite,
     TestCaseId,
     TestExecution,
@@ -60,11 +61,11 @@ class QueueMismatchError(ValueError):
     """Sub-rankings do not cover the same suite."""
 
 
-class SuiteTooLargeError(ValueError):
+class SuiteTooLargeError(InputError):
     """Suite exceeds the configured cap for a cubic-time merging scheme."""
 
 
-class InvalidSpecError(ValueError):
+class InvalidSpecError(InputError):
     """An approach spec tree cannot be built."""
 
 

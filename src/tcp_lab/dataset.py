@@ -20,6 +20,7 @@ from typing import Callable, Mapping
 
 from tcp_lab.model import (
     CycleRecord,
+    InputError,
     ProjectHistory,
     TestCaseId,
     TestExecution,
@@ -49,7 +50,7 @@ DEFAULT_SOURCE_SUFFIXES = (".java",)
 DEFAULT_SOURCE_ROOTS = ("", "src/test/java", "src/main/java")
 
 
-class DatasetError(ValueError):
+class DatasetError(InputError):
     def __init__(self, code: str, detail: str):
         self.code = code
         self.detail = detail
@@ -76,6 +77,8 @@ class ColumnMapping:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, str]) -> "ColumnMapping":
+        if not isinstance(raw, Mapping):
+            raise DatasetError(PARSE_ERROR, "mapping must be a JSON object")
         missing = [field for field in cls.REQUIRED if not raw.get(field)]
         if missing:
             raise DatasetError(MISSING_COLUMN, f"mapping lacks {', '.join(missing)}")

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 from tcp_lab import metrics as metrics_mod
 from tcp_lab.approaches import SourceVectors
-from tcp_lab.combinators import build, spec_is_randomized
+from tcp_lab.combinators import InvalidSpecError, build, spec_is_randomized
 from tcp_lab.dataset import attach_sources, filter_for_evaluation, read_canonical
 from tcp_lab.metrics import (
     CycleTiming,
@@ -75,6 +75,7 @@ class EvaluationConfig:
 
     @classmethod
     def from_dict(cls, raw: Mapping, base_dir: Path) -> "EvaluationConfig":
+        """Check and resolve a parsed config; a bad field or spec is a ConfigError."""
         if not isinstance(raw, Mapping):
             raise ConfigError("config must be a JSON object")
         projects_raw = raw.get("projects")
@@ -89,18 +90,28 @@ class EvaluationConfig:
             if name in seen_names:
                 raise ConfigError(f"duplicate project name {name!r}")
             seen_names.add(name)
-            sources = entry.get("sources_dir")
+            history, sources = entry["history"], entry.get("sources_dir")
+            if not isinstance(history, str) or not isinstance(sources, (str, type(None))):
+                raise ConfigError(f"project {name!r}: history and sources_dir must be strings")
             projects.append(
                 ProjectConfig(
                     name=name,
-                    history_path=(base_dir / entry["history"]).resolve(),
+                    history_path=(base_dir / history).resolve(),
                     sources_dir=(base_dir / sources).resolve() if sources else None,
                 )
             )
         approaches_raw = raw.get("approaches")
         if not isinstance(approaches_raw, Mapping) or not approaches_raw:
             raise ConfigError("config needs a non-empty 'approaches' mapping")
-        metric_names = tuple(raw.get("metrics", ALL_METRICS))
+        for name, spec in approaches_raw.items():
+            try:
+                build(spec, master_seed=0)
+            except InvalidSpecError as error:
+                raise ConfigError(f"approach {name!r}: {error}") from None
+        metric_names = raw.get("metrics", ALL_METRICS)
+        if not isinstance(metric_names, (list, tuple)):
+            raise ConfigError(f"metrics must be a list of names, got {metric_names!r}")
+        metric_names = tuple(metric_names)
         unknown = [m for m in metric_names if m not in ALL_METRICS]
         if unknown:
             raise ConfigError(f"unknown metrics {unknown}; choose from {ALL_METRICS}")
@@ -109,14 +120,15 @@ class EvaluationConfig:
             tie_policy = FlattenPolicy(tie_policy_raw)
         except ValueError:
             raise ConfigError(f"unknown tie policy {tie_policy_raw!r}") from None
+        # type() and not isinstance(): JSON true and false are bools, an int subclass
         repetitions = raw.get("repetitions", DEFAULT_REPETITIONS)
-        if not isinstance(repetitions, int) or repetitions < 1:
+        if type(repetitions) is not int or repetitions < 1:
             raise ConfigError("repetitions must be a positive integer")
         min_suite = raw.get("min_suite_size", 6)
-        if not isinstance(min_suite, int) or min_suite < 1:
+        if type(min_suite) is not int or min_suite < 1:
             raise ConfigError("min_suite_size must be a positive integer")
         seed = raw.get("seed", 0)
-        if not isinstance(seed, int):
+        if type(seed) is not int:
             raise ConfigError("seed must be an integer")
         return cls(
             projects=tuple(projects),
@@ -364,6 +376,7 @@ def write_outcomes(
 ) -> None:
     """Persist raw (deterministic) and timing (wall-clock) values plus a summary."""
     out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # also when every project failed
     raw_root = out_dir / "raw"
     timing_root = out_dir / "timing"
     metric_columns = [m for m in APFD_FAMILY if m in config.metric_names]

@@ -12,11 +12,13 @@ exactly once per cycle after ranking, and each replay builds a new instance.
 from __future__ import annotations
 
 import enum
+import json
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, groupby
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 TestCaseId = str
@@ -36,8 +38,28 @@ class FlattenPolicy(enum.Enum):
     RANDOM = "random"
 
 
-class ConfigError(ValueError):
+class InputError(ValueError):
+    """Base of every error that bad user input raises.
+
+    The CLI reports one as a single ``error:`` line and exits 2; any other
+    exception is a program fault.
+    """
+
+
+class ConfigError(InputError):
     """Invalid evaluation configuration or command input."""
+
+
+def read_json(path: Path | str, error: type[InputError] = ConfigError):
+    """Parse a JSON file; any ``ValueError`` becomes ``error``.
+
+    That covers bad JSON, text that is not UTF-8, and an integer literal over
+    Python's int-to-str digit limit (a plain ``ValueError``).
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as parse_error:
+        raise error(str(parse_error)) from None
 
 
 class RankingError(ValueError):

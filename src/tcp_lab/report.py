@@ -20,12 +20,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from tcp_lab.model import InputError, read_json
 from tcp_lab.stats import DegenerateMatrixError, ScoreMatrix, cd_grouping
 
 TABLE_METRICS = ("rapfd_c", "apfd", "apfd_c", "rapfd", "ntr", "atr")
 
 
-class ReportError(ValueError):
+class ReportError(InputError):
     """Report inputs missing or unusable."""
 
 
@@ -34,18 +35,11 @@ def _aggregate_key(metric: str) -> str:
 
 
 def load_summary(eval_dir: Path | str) -> dict:
-    """The parsed ``summary.json``; any ``ValueError`` becomes a :class:`ReportError`.
-
-    That covers bad JSON, text that is not UTF-8, and an integer literal over
-    Python's int-to-str digit limit (a plain ``ValueError``).
-    """
+    """The parsed ``summary.json``; unreadable JSON raises :class:`ReportError`."""
     path = Path(eval_dir) / "summary.json"
     if not path.is_file():
         raise ReportError(f"no summary.json under {eval_dir}")
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as error:
-        raise ReportError(str(error)) from None
+    return read_json(path, ReportError)
 
 
 @dataclass(frozen=True)
@@ -66,21 +60,31 @@ class MetricTable:
         return tuple(means), tuple(medians)
 
 
+def _ok_aggregates(summary: object) -> dict[str, dict[str, Mapping]]:
+    """Each ok project's aggregates by approach; a malformed summary is a ReportError."""
+    projects = summary.get("projects", {}) if isinstance(summary, Mapping) else None
+    if not isinstance(projects, Mapping):
+        raise ReportError("summary must be a JSON object with a 'projects' object")
+    ok: dict[str, dict[str, Mapping]] = {}
+    for name, entry in projects.items():
+        if isinstance(entry, Mapping) and entry.get("status") != "ok":
+            continue
+        approaches = entry.get("approaches") if isinstance(entry, Mapping) else None
+        if not isinstance(approaches, Mapping) or not all(
+            isinstance(a, Mapping) and isinstance(a.get("aggregates"), Mapping)
+            for a in approaches.values()
+        ):
+            raise ReportError(f"project {name!r} needs 'approaches' holding 'aggregates'")
+        ok[name] = {approach: a["aggregates"] for approach, a in approaches.items()}
+    return ok
+
+
 def metric_tables(summary: Mapping) -> list[MetricTable]:
-    projects = [
-        name
-        for name, entry in summary.get("projects", {}).items()
-        if entry.get("status") == "ok"
-    ]
+    aggregates = _ok_aggregates(summary)
+    projects = list(aggregates)
     if not projects:
         raise ReportError("summary contains no successfully evaluated projects")
-    approaches = sorted(
-        {
-            approach
-            for name in projects
-            for approach in summary["projects"][name]["approaches"]
-        }
-    )
+    approaches = sorted({approach for name in projects for approach in aggregates[name]})
     if not approaches:
         raise ReportError("summary contains no approaches")
     tables = []
@@ -91,8 +95,9 @@ def metric_tables(summary: Mapping) -> list[MetricTable]:
         for project in projects:
             row = []
             for approach in approaches:
-                entry = summary["projects"][project]["approaches"].get(approach)
-                value = entry["aggregates"].get(key) if entry else None
+                value = aggregates[project].get(approach, {}).get(key)
+                if not (value is None or type(value) in (int, float)):
+                    raise ReportError(f"{project}/{approach}: {key} is not a number: {value!r}")
                 row.append(value)
                 any_value = any_value or value is not None
             cells.append(tuple(row))
@@ -103,14 +108,10 @@ def metric_tables(summary: Mapping) -> list[MetricTable]:
     return tables
 
 
-def _best_positions(row: Sequence[float | None], decimals: int | None) -> set[int]:
-    present = [(i, v) for i, v in enumerate(row) if v is not None]
-    if not present:
+def _best_positions(row: Sequence[float | None], decimals: int) -> set[int]:
+    rounded = [(i, round(v, decimals)) for i, v in enumerate(row) if v is not None]
+    if not rounded:
         return set()
-    if decimals is None:
-        best = max(v for _, v in present)
-        return {i for i, v in present if v == best}
-    rounded = [(i, round(v, decimals)) for i, v in present]
     best = max(v for _, v in rounded)
     return {i for i, v in rounded if v == best}
 

@@ -184,6 +184,18 @@ class TestIngestCommand:
         assert capsys.readouterr().err == expected
         assert not out.exists()
 
+    def test_mapping_not_an_object_exits_2(self, rtp_like_dataset, tmp_path, capsys):
+        data, _ = rtp_like_dataset
+        mapping = tmp_path / "list.json"
+        mapping.write_text("[1, 2]", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        argv = ["ingest", "--in", str(data), "--mapping", str(mapping), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: PARSE_ERROR: mapping must be a JSON object\n"
+        )
+        assert not out.exists()
+
     def test_build_time_join_reported(self, rtp_like_dataset, tmp_path, capsys):
         data, mapping = rtp_like_dataset
         times = tmp_path / "times.csv"
@@ -290,6 +302,18 @@ class TestEvaluateCommand:
         assert summary["projects"]["good"]["status"] == "ok"
         assert summary["projects"]["bad"]["status"] == "error"
 
+    def test_every_project_failing_exits_1_with_summary(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            [{"name": "bad", "history": "missing.csv"}],
+            {"base": {"type": "base_order"}},
+        )
+        out = tmp_path / "out"
+        assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("bad: FAILED (")
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["projects"]["bad"]["status"] == "error"
+
     def test_invalid_spec_exits_2(self, tmp_path, capsys):
         history_path = make_history_file(tmp_path, "proj", seed=10)
         config = write_config(
@@ -343,6 +367,21 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 2
         assert capsys.readouterr().err == expected
         assert not out.exists()
+
+    def test_out_under_a_regular_file_exits_2(self, tmp_path, capsys):
+        history_path = make_history_file(tmp_path, "proj", seed=10)
+        config = write_config(
+            tmp_path,
+            [{"name": "proj", "history": history_path.name}],
+            {"base": {"type": "base_order"}},
+        )
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker / "out"
+        assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out) in err
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         paths = [
@@ -424,6 +463,43 @@ class TestReportCommand:
         path.rename(raw / "summary.json")
         assert main(["report", "--raw", str(raw), "--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err == expected
+
+    @pytest.mark.parametrize(
+        "summary, message",
+        [
+            ([], "summary must be a JSON object with a 'projects' object"),
+            (
+                {"projects": {"p1": {"status": "ok"}}},
+                "project 'p1' needs 'approaches' holding 'aggregates'",
+            ),
+            (
+                {
+                    "projects": {
+                        "p1": {"status": "ok", "approaches": {"a": {"aggregates": "x"}}}
+                    }
+                },
+                "project 'p1' needs 'approaches' holding 'aggregates'",
+            ),
+            (
+                {
+                    "projects": {
+                        "p1": {
+                            "status": "ok",
+                            "approaches": {"a": {"aggregates": {"apfd_mean": "0.5"}}},
+                        }
+                    }
+                },
+                "p1/a: apfd_mean is not a number: '0.5'",
+            ),
+        ],
+        ids=["top_level_list", "no_approaches", "aggregates_string", "value_string"],
+    )
+    def test_malformed_summary_exits_2(self, tmp_path, capsys, summary, message):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
+        assert main(["report", "--raw", str(raw), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-1", "0", "1", "2"])
     def test_alpha_outside_open_unit_interval_exits_2(self, tmp_path, capsys, alpha):
@@ -625,6 +701,11 @@ class TestPrioritizeCommand:
         )
         assert code == 2
 
+    def test_empty_preset_name_exits_2(self, tmp_path, capsys):
+        argv = ["prioritize", "--history", str(self.history_path(tmp_path))]
+        assert main(argv + ["--preset", "", "--cycle", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: unknown preset ''\n")
+
     @pytest.mark.parametrize("kind", sorted(UNREADABLE_JSON))
     def test_unreadable_spec_exits_2(self, tmp_path, capsys, kind):
         spec, expected = unreadable_json(tmp_path, kind)
@@ -649,3 +730,23 @@ class TestPrioritizeCommand:
 
     def test_usage_error_exits_2(self, capsys):
         assert main(["prioritize", "--cycle", "1"]) == 2
+
+
+class TestErrorBoundary:
+    """``main`` reports input errors only; a program fault keeps its traceback."""
+
+    @pytest.mark.parametrize(
+        "command, fault",
+        [("_cmd_report", ValueError), ("_cmd_evaluate", TypeError)],
+    )
+    def test_program_fault_propagates(self, tmp_path, monkeypatch, command, fault):
+        def broken(args):
+            raise fault("a bug, not an input error")
+
+        monkeypatch.setattr(f"tcp_lab.cli.{command}", broken)
+        argv = {
+            "_cmd_report": ["report", "--raw", str(tmp_path)],
+            "_cmd_evaluate": ["evaluate", "--config", str(tmp_path / "c.json")],
+        }[command]
+        with pytest.raises(fault):
+            main(argv + ["--out", str(tmp_path / "o")])

@@ -252,6 +252,38 @@ class TestConfigParsing:
                 "approaches": {"a": {"type": "base_order"}},
                 "tie_policy": "sometimes",
             },
+            {
+                "projects": [{"name": "p", "history": "h"}],
+                "approaches": {"a": {"type": "base_order"}},
+                "repetitions": True,
+            },
+            {
+                "projects": [{"name": "p", "history": "h"}],
+                "approaches": {"a": {"type": "base_order"}},
+                "seed": True,
+            },
+            {
+                "projects": [{"name": "p", "history": "h"}],
+                "approaches": {"a": {"type": "base_order"}},
+                "min_suite_size": True,
+            },
+            {
+                "projects": [{"name": "p", "history": "h"}],
+                "approaches": {"a": {"type": "base_order"}},
+                "metrics": 5,
+            },
+            {
+                "projects": [{"name": "p", "history": 5}],
+                "approaches": {"a": {"type": "base_order"}},
+            },
+            {
+                "projects": [{"name": "p", "history": "h", "sources_dir": 5}],
+                "approaches": {"a": {"type": "base_order"}},
+            },
+            {
+                "projects": [{"name": "p", "history": "h"}],
+                "approaches": {"a": {"type": "no_such"}},
+            },
         ],
     )
     def test_invalid_configs_rejected(self, raw, tmp_path):
