@@ -75,8 +75,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     env_seed = _env_seed()
     if env_seed is not None:
         config = dataclasses.replace(config, seed=env_seed)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the replay
     outcomes = run_evaluation(config, jobs=args.jobs)
-    write_outcomes(Path(args.out), config, outcomes)
+    write_outcomes(out, config, outcomes)
     failed = False
     for outcome in outcomes:
         if outcome.error:

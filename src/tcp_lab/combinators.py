@@ -4,7 +4,8 @@ Combinators treat sub-approaches as black boxes: each cycle every active
 child prioritizes the suite independently and only the resulting rankings
 are merged. Execution feedback propagates to all children, even those
 whose weight currently excludes them from ranking, so children keep
-training throughout.
+training throughout. A child order that is not exactly the suite raises
+:class:`~tcp_lab.model.RankingError` from :func:`tcp_lab.model.check_cases`.
 
 The module also defines the declarative spec-tree format (JSON-compatible
 nested dicts) from which :func:`build` constructs approach instances, and
@@ -44,8 +45,10 @@ from tcp_lab.model import (
     RankedSuite,
     TestCaseId,
     TestExecution,
+    check_cases,
     flatten,
     ranked_from_scores,
+    suite_set,
 )
 
 # numpy is imported where it is used, and in the constructors of the combined
@@ -57,28 +60,12 @@ if TYPE_CHECKING:
 DEFAULT_SCHULZE_CAP = 1000
 
 
-class QueueMismatchError(ValueError):
-    """Sub-rankings do not cover the same suite."""
-
-
 class SuiteTooLargeError(InputError):
     """Suite exceeds the configured cap for a cubic-time merging scheme."""
 
 
 class InvalidSpecError(InputError):
     """An approach spec tree cannot be built."""
-
-
-def _check_same_suite(
-    orders: Sequence[Sequence[TestCaseId]], suite: Sequence[TestCaseId]
-) -> None:
-    """Each of ``orders`` (case sequences) must hold exactly the suite's cases."""
-    expected = set(suite)
-    if len(expected) != len(suite):
-        raise QueueMismatchError("suite contains duplicate cases")
-    for cases in orders:
-        if len(cases) != len(suite) or set(cases) != expected:
-            raise QueueMismatchError("ranking does not cover the expected suite")
 
 
 def _check_weights(weights: Sequence[float], count: int) -> None:
@@ -104,7 +91,9 @@ def random_mix(
         raise ValueError("at least one queue required")
     _check_weights(weights, len(queues))
     reference = list(queues[0])
-    _check_same_suite(queues, reference)
+    members = suite_set(reference)
+    for queue in queues[1:]:
+        check_cases(queue, members)
     indices = [i for i in range(len(queues)) if weights[i] > 0]
     # the draw of Random.choices(indices, weights=...), with the cumulative
     # weights accumulated once instead of on every draw
@@ -149,7 +138,9 @@ def borda_mix(
     _check_weights(weights, len(rankings))
     if suite is None:
         suite = rankings[0].cases()
-    _check_same_suite([ranking.cases() for ranking in rankings], suite)
+    members = suite_set(suite)
+    for ranking in rankings:
+        check_cases(ranking.cases(), members)
     n = len(suite)
     scores: dict[TestCaseId, float] = {case: 0.0 for case in suite}
     for ranking, weight in zip(rankings, weights):
@@ -227,7 +218,9 @@ def schulze_mix(
     _check_weights(weights, len(rankings))
     if suite is None:
         suite = rankings[0].cases()
-    _check_same_suite([ranking.cases() for ranking in rankings], suite)
+    members = suite_set(suite)
+    for ranking in rankings:
+        check_cases(ranking.cases(), members)
     n = len(suite)
     if n > max_suite:
         raise SuiteTooLargeError(
@@ -251,7 +244,7 @@ def break_ties(primary: RankedSuite, secondary: RankedSuite) -> RankedSuite:
     Secondary residual ties persist in the output. Group boundaries of the
     primary ranking are never crossed.
     """
-    _check_same_suite([secondary.cases()], primary.cases())
+    check_cases(secondary.cases(), suite_set(primary.cases()))
     secondary_group: dict[TestCaseId, int] = {}
     secondary_position: dict[TestCaseId, int] = {}
     for g, group in enumerate(secondary.groups):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
@@ -153,6 +154,28 @@ def _row_error(path: Path, reader, detail: str) -> DatasetError:
     return DatasetError(PARSE_ERROR, f"{path.name}:{reader.line_num}: {detail}")
 
 
+@contextmanager
+def _csv_rows(path: Path, delimiter: str = ","):
+    """A ``csv.reader`` over UTF-8 ``path``; text that is not UTF-8 or a field
+    over the ``csv`` size limit is a PARSE_ERROR naming the file and line."""
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        try:
+            yield reader
+        except csv.Error as error:
+            raise _row_error(path, reader, str(error)) from None
+        except UnicodeDecodeError:
+            # decoding runs a block ahead of the reader: find the bad byte's line
+            data = path.read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as error:
+                line = len(data[: error.start + 1].splitlines())
+                detail = f"byte 0x{data[error.start]:02x} is not UTF-8 ({error.reason})"
+                raise DatasetError(PARSE_ERROR, f"{path.name}:{line}: {detail}") from None
+            raise
+
+
 class _CycleRows:
     """One cycle's metadata and its executions by case, while parsing."""
 
@@ -208,8 +231,7 @@ def ingest(
     rejected = 0
     cycles: dict[int, _CycleRows] = {}
     for path in _data_files(source):
-        with path.open(newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle, delimiter=delimiter)
+        with _csv_rows(path, delimiter) as reader:
             header = next(reader, None) or []
             columns = {name: i for i, name in enumerate(header)}
             for field in ColumnMapping.REQUIRED:
@@ -322,17 +344,23 @@ def read_build_times(path: Path | str) -> dict[str, float]:
     """Read a two-column ``job_id,seconds`` build-time table."""
     path = Path(path)
     table: dict[str, float] = {}
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if not reader.fieldnames or "job_id" not in reader.fieldnames or "seconds" not in reader.fieldnames:
+    with _csv_rows(path) as reader:
+        header = next(reader, None) or []
+        columns = {name: i for i, name in enumerate(header)}
+        if "job_id" not in columns or "seconds" not in columns:
             raise DatasetError(MISSING_COLUMN, f"{path.name}: need columns job_id, seconds")
+        job_at = columns["job_id"]
+        seconds_at = columns["seconds"]
+        width = len(header)
         for row in reader:
-            seconds = _parse_duration(row["seconds"] or "")
+            if not row:
+                continue
+            if len(row) < width:
+                row += [None] * (width - len(row))
+            seconds = _parse_duration(row[seconds_at] or "")
             if seconds is None or seconds < 0:
-                raise DatasetError(
-                    PARSE_ERROR, f"{path.name}:{reader.line_num}: bad seconds {row['seconds']!r}"
-                )
-            table[(row["job_id"] or "").strip()] = seconds
+                raise _row_error(path, reader, f"bad seconds {row[seconds_at]!r}")
+            table[(row[job_at] or "").strip()] = seconds
     return table
 
 

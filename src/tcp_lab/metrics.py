@@ -35,7 +35,7 @@ from itertools import accumulate, compress, count
 from operator import add
 from typing import Sequence
 
-from tcp_lab.model import CycleRecord, TestCaseId
+from tcp_lab.model import CycleRecord, TestCaseId, check_cases
 
 # Bounds closer than this are considered degenerate for rectification.
 DEGENERATE_EPSILON = 1e-12
@@ -72,10 +72,10 @@ class NoDataError(MetricError):
 class CycleView:
     """Order-independent facts of one cycle, computed once and shared.
 
-    Holds the suite, a case-to-index map, the durations and the fail mask in
-    the cycle's original order, the fault count, the build time and the
-    no-prioritization baseline (first-fault time, full time and testing
-    time). The rectification bounds are computed on first use and kept.
+    Holds the suite (also as a set), a case-to-index map, the durations and
+    the fail mask in the cycle's original order, the fault count, the build
+    time and the no-prioritization baseline (first-fault time, full time and
+    testing time). The rectification bounds are computed on first use and kept.
     :meth:`score` evaluates one order of the suite; every APFD-family value
     comes from the :class:`ScoredOrder` it returns.
     """
@@ -84,6 +84,8 @@ class CycleView:
         executions = cycle.executions
         self.suite = tuple(e.case for e in executions)
         self.position = {case: i for i, case in enumerate(self.suite)}
+        # a set tests membership faster than the keys of ``position``
+        self.members = frozenset(self.suite)
         self.durations = [e.duration for e in executions]
         self.fails = [e.failed for e in executions]
         self.fault_count = sum(self.fails)
@@ -99,18 +101,9 @@ class CycleView:
         )
 
     def score(self, order: Sequence[TestCaseId]) -> ScoredOrder:
-        """Evaluate ``order``, which must be a permutation of the suite."""
-        try:
-            permutation = list(map(self.position.__getitem__, order))
-        except KeyError:
-            permutation = None
-        if (
-            permutation is None
-            or len(permutation) != len(self.suite)
-            or len(set(permutation)) != len(permutation)
-        ):
-            raise ValueError("order is not a permutation of the cycle's suite")
-        return self._scored(permutation)
+        """Evaluate ``order``, which must hold each case of the suite once."""
+        check_cases(order, self.members)
+        return self._scored(list(map(self.position.__getitem__, order)))
 
     def _scored(self, permutation: Sequence[int]) -> ScoredOrder:
         durations = list(map(self.durations.__getitem__, permutation))

@@ -5,8 +5,9 @@ of the suite into tie groups. Approaches implement :class:`Approach` and obey
 a strict replay protocol: ``rank`` sees only the case identifiers of the
 cycle about to run (never its verdicts or durations), ``observe`` is called
 exactly once per cycle after ranking, and each replay builds a new instance.
-:func:`validate_ranking` enforces the partition guarantees and
-:func:`flatten` turns a ranking into an executable total order.
+:func:`check_cases` is the one check that a sequence of cases is exactly a
+suite: :func:`validate_ranking`, the mixers, the tiebreakers and the metrics
+all call it. :func:`flatten` turns a ranking into an executable total order.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, groupby
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 TestCaseId = str
 
@@ -112,13 +113,7 @@ class CycleRecord:
             raise ValueError(f"cycle {self.index} has no executions")
         if self.build_time is not None and not self.build_time >= 0:
             raise ValueError(f"build_time must be >= 0, got {self.build_time}")
-        seen: set[TestCaseId] = set()
-        for execution in self.executions:
-            if execution.case in seen:
-                raise ValueError(
-                    f"cycle {self.index} contains duplicate case {execution.case!r}"
-                )
-            seen.add(execution.case)
+        suite_set(self.suite)  # a case run twice is a DUPLICATE_CASE
 
     # cached_property stores into the instance __dict__, bypassing the frozen
     # __setattr__; the cached values take no part in equality, hash or repr
@@ -206,24 +201,42 @@ def ranked_from_scores(
     )
 
 
+def suite_set(suite: Iterable[TestCaseId]) -> set[TestCaseId]:
+    """The set of ``suite``'s cases; a case held twice is a DUPLICATE_CASE."""
+    cases = tuple(suite)
+    members = set(cases)
+    if len(members) != len(cases):
+        check_cases(cases, members)
+    return members
+
+
+def check_cases(cases: Sequence[TestCaseId], suite: AbstractSet[TestCaseId]) -> None:
+    """Check that ``cases`` holds each case of the set ``suite`` exactly once.
+
+    Otherwise raises :class:`RankingError`: DUPLICATE_CASE or FOREIGN_CASE
+    for the first case seen twice or not in the suite, else MISSING_CASE
+    for the smallest case that ``cases`` lacks.
+    """
+    distinct = set(cases)
+    if len(distinct) == len(cases) == len(suite) and distinct <= suite:
+        return
+    seen: set[TestCaseId] = set()
+    for case in cases:
+        if case in seen:
+            raise RankingError(DUPLICATE_CASE, case)
+        if case not in suite:
+            raise RankingError(FOREIGN_CASE, case)
+        seen.add(case)
+    raise RankingError(MISSING_CASE, min(suite - seen))
+
+
 def validate_ranking(suite: Iterable[TestCaseId], ranking: RankedSuite) -> None:
     """Check that ``ranking`` partitions ``suite`` exactly.
 
     Raises :class:`RankingError` with code DUPLICATE_CASE, FOREIGN_CASE, or
     MISSING_CASE naming the offending case id.
     """
-    suite_set = set(suite)
-    seen: set[TestCaseId] = set()
-    for group in ranking.groups:
-        for case in group:
-            if case in seen:
-                raise RankingError(DUPLICATE_CASE, case)
-            if case not in suite_set:
-                raise RankingError(FOREIGN_CASE, case)
-            seen.add(case)
-    missing = suite_set - seen
-    if missing:
-        raise RankingError(MISSING_CASE, min(missing))
+    check_cases(ranking.cases(), suite_set(suite))
 
 
 def flatten(

@@ -5,12 +5,14 @@ permutations, deliberately sharing no code with the library implementation.
 The kernel oracles after them are the scalar code distance and the
 plain-Python code-distance, Schulze and tiebreak loops that the numpy
 kernels must reproduce exactly, followed by the two rank loops that
-``stats._average_ranks`` replaces. The next section keeps the replay
+``stats._average_ranks`` replaces and the suite checks that
+``model.check_cases`` replaces. The next section keeps the replay
 harness's earlier per-cycle path (a case dict per cycle and metric, bounds
 recomputed on every call) and the earlier
 ``ranked_from_scores``, ``flatten`` and ``random_mix``, which the lean
-versions must also reproduce exactly. Then comes the ``csv.DictReader``
-history parser that the one-pass ``ingest`` replaces, and last the
+versions must also reproduce exactly. Then come the ``csv.DictReader``
+history parser that the one-pass ``ingest`` replaces and the
+``csv.DictReader`` build-time reader, and last the
 ``if``-chain spec builder and separate ``spec_is_randomized`` tree walk that
 the node-type table replaces.
 """
@@ -83,6 +85,9 @@ from tcp_lab.metrics import (
     testing_time,
 )
 from tcp_lab.model import (
+    DUPLICATE_CASE,
+    FOREIGN_CASE,
+    MISSING_CASE,
     Approach,
     CycleRecord,
     FlattenPolicy,
@@ -377,6 +382,68 @@ def signed_ranks_oracle(differences: Sequence[float]) -> tuple[list[float], floa
         i = j + 1
     w_plus = sum(rank for rank, d in zip(ranks, differences) if d > 0)
     return ranks, w_plus
+
+
+# --- the partition checks that ``model.check_cases`` replaced -----------------
+#
+# The mixers and tiebreakers had their own suite check and ``CycleView.score``
+# its own permutation test; both only accept or reject. The old
+# ``validate_ranking`` loop also names the offending case, and with the
+# suite's own repeat check in front it gives the (code, case) that every
+# entry point must raise now.
+
+
+def same_suite_oracle(
+    orders: Sequence[Sequence[TestCaseId]], suite: Sequence[TestCaseId]
+) -> None:
+    """Each of ``orders`` (case sequences) must hold exactly the suite's cases."""
+    expected = set(suite)
+    if len(expected) != len(suite):
+        raise ValueError("suite contains duplicate cases")
+    for cases in orders:
+        if len(cases) != len(suite) or set(cases) != expected:
+            raise ValueError("ranking does not cover the expected suite")
+
+
+def permutation_oracle(
+    order: Sequence[TestCaseId], position: Mapping[TestCaseId, int]
+) -> list[int]:
+    """``order`` as indices into the suite that ``position`` numbers."""
+    try:
+        permutation = list(map(position.__getitem__, order))
+    except KeyError:
+        permutation = None
+    if (
+        permutation is None
+        or len(permutation) != len(position)
+        or len(set(permutation)) != len(permutation)
+    ):
+        raise ValueError("order is not a permutation of the cycle's suite")
+    return permutation
+
+
+def partition_error_oracle(
+    suite: Sequence[TestCaseId], ranking: RankedSuite
+) -> tuple[str, TestCaseId] | None:
+    """The (code, case) a bad suite or ranking raises; None for a partition."""
+    seen: set[TestCaseId] = set()
+    for case in suite:
+        if case in seen:
+            return DUPLICATE_CASE, case
+        seen.add(case)
+    suite_set = set(suite)
+    seen = set()
+    for group in ranking.groups:
+        for case in group:
+            if case in seen:
+                return DUPLICATE_CASE, case
+            if case not in suite_set:
+                return FOREIGN_CASE, case
+            seen.add(case)
+    missing = suite_set - seen
+    if missing:
+        return MISSING_CASE, min(missing)
+    return None
 
 
 # --- the per-cycle harness path the cycle view replaced ----------------------
@@ -767,6 +834,24 @@ def ingest_oracle(
         for index, data in sorted(cycles.items())
     )
     return IngestResult(ProjectHistory(project, records), rejected)
+
+
+def read_build_times_oracle(path: Path | str) -> dict[str, float]:
+    """The ``csv.DictReader`` build-time reader before the guarded ``csv.reader``."""
+    path = Path(path)
+    table: dict[str, float] = {}
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        if not reader.fieldnames or "job_id" not in reader.fieldnames or "seconds" not in reader.fieldnames:
+            raise DatasetError(MISSING_COLUMN, f"{path.name}: need columns job_id, seconds")
+        for row in reader:
+            seconds = _parse_duration(row["seconds"] or "")
+            if seconds is None or seconds < 0:
+                raise DatasetError(
+                    PARSE_ERROR, f"{path.name}:{reader.line_num}: bad seconds {row['seconds']!r}"
+                )
+            table[(row["job_id"] or "").strip()] = seconds
+    return table
 
 
 # --- the spec-tree builder before the node-type table -------------------------

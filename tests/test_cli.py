@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synth import cycle, random_history
+from tcp_lab import evaluation
 from tcp_lab.cli import main
 from tcp_lab.dataset import read_canonical, write_canonical
-from tcp_lab.model import ProjectHistory
+from tcp_lab.model import Approach, ProjectHistory, RankedSuite
 from tcp_lab.report import (
     MetricTable,
     _percentile,
@@ -383,6 +384,56 @@ class TestEvaluateCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(out) in err
 
+    def test_out_checked_before_the_replay(self, tmp_path, capsys, monkeypatch):
+        history_path = make_history_file(tmp_path, "proj", seed=10)
+        config = write_config(
+            tmp_path,
+            [{"name": "proj", "history": history_path.name}],
+            {"base": {"type": "base_order"}},
+        )
+
+        def replay(config, jobs=1):
+            raise AssertionError("replayed before --out was checked")
+
+        monkeypatch.setattr("tcp_lab.evaluation.run_evaluation", replay)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker / "out"
+        assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_bad_ranking_fails_only_its_project(self, tmp_path, capsys, monkeypatch):
+        good = make_history_file(tmp_path, "good", seed=9)
+        doomed = ProjectHistory(
+            "doomed",
+            tuple(cycle(i, ["a", "b", "lost"], failures=["a"]) for i in range(3)),
+        )
+        write_canonical(doomed, tmp_path / "doomed.csv")
+        config = write_config(
+            tmp_path,
+            [
+                {"name": "good", "history": good.name},
+                {"name": "doomed", "history": "doomed.csv"},
+            ],
+            {"base": {"type": "base_order"}},
+        )
+
+        class DropsOneCase(Approach):
+            def rank(self, suite):
+                return RankedSuite(tuple((case,) for case in suite if case != "lost"))
+
+        monkeypatch.setattr(evaluation, "build", lambda spec, **kwargs: DropsOneCase())
+        out = tmp_path / "out"
+        assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 1
+        assert "doomed: FAILED (MISSING_CASE: 'lost')\n" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["projects"]["doomed"]["status"] == "error"
+        assert summary["projects"]["doomed"]["error"] == "MISSING_CASE: 'lost'"
+        assert summary["projects"]["good"]["status"] == "ok"
+        assert (out / "raw" / "good" / "base.csv").is_file()
+        assert not (out / "raw" / "doomed").exists()
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         paths = [
             make_history_file(tmp_path, name, seed)
@@ -406,6 +457,61 @@ class TestEvaluateCommand:
             assert (serial / "raw" / name / "fold.csv").read_bytes() == (
                 parallel / "raw" / name / "fold.csv"
             ).read_bytes()
+
+
+# A 2-row CSV whose second row (line 3) holds a byte that is not UTF-8, or a
+# quoted field over the csv module's 131072-character limit.
+UNREADABLE_CSV = {
+    "not_utf8": (b"\xff", "byte 0xff is not UTF-8 (invalid start byte)"),
+    "huge_field": (
+        b'"' + b"x" * 131073 + b'"',
+        "field larger than field limit (131072)",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(UNREADABLE_CSV))
+class TestUnreadableCsv:
+    """Each CSV the CLI reads turns undecodable or oversized input into one
+    ``error:`` line naming the file and line, with exit 2."""
+
+    def test_history(self, tmp_path, capsys, fault):
+        cell, detail = UNREADABLE_CSV[fault]
+        history = tmp_path / "h.csv"
+        history.write_bytes(
+            b"cycle,job_id,commit_id,build_time,position,test_name,duration,verdict\n"
+            b"0,j,c,,0,a,1.0,pass\n"
+            b"0,j,c,,1," + cell + b",1.0,fail\n"
+        )
+        argv = ["prioritize", "--history", str(history), "--preset", "P1.2", "--cycle", "0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: PARSE_ERROR: h.csv:3: {detail}\n"
+
+    def test_ingest_data_file(self, rtp_like_dataset, tmp_path, capsys, fault):
+        _, mapping = rtp_like_dataset
+        cell, detail = UNREADABLE_CSV[fault]
+        data = tmp_path / "runs.csv"
+        data.write_bytes(
+            b"build,job,sha,test,secs,outcome\n"
+            b"1,j1,c1,alpha,0.5,pass\n"
+            b"1,j1,c1," + cell + b",1.5,fail\n"
+        )
+        out = tmp_path / "x.csv"
+        argv = ["ingest", "--in", str(data), "--mapping", str(mapping), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: PARSE_ERROR: runs.csv:3: {detail}\n"
+        assert not out.exists()
+
+    def test_build_times_table(self, rtp_like_dataset, tmp_path, capsys, fault):
+        data, mapping = rtp_like_dataset
+        cell, detail = UNREADABLE_CSV[fault]
+        times = tmp_path / "times.csv"
+        times.write_bytes(b"job_id,seconds\nj1,30\n" + cell + b",40\n")
+        out = tmp_path / "x.csv"
+        argv = ["ingest", "--in", str(data), "--mapping", str(mapping), "--out", str(out)]
+        assert main(argv + ["--build-times", str(times)]) == 2
+        assert capsys.readouterr().err == f"error: PARSE_ERROR: times.csv:3: {detail}\n"
+        assert not out.exists()
 
 
 class TestReportCommand:

@@ -26,7 +26,6 @@ from tcp_lab.combinators import (
     GenericBrokenOrder,
     InterpolatedOrder,
     InvalidSpecError,
-    QueueMismatchError,
     RandomMixedOrder,
     SchulzeMixedOrder,
     SuiteTooLargeError,
@@ -40,7 +39,7 @@ from tcp_lab.combinators import (
     spec_is_randomized,
     strongest_paths,
 )
-from tcp_lab.model import FlattenPolicy, RankedSuite, flatten
+from tcp_lab.model import FlattenPolicy, RankedSuite, RankingError, flatten
 
 
 def singletons(*cases):
@@ -72,7 +71,7 @@ class TestRandomMix:
         assert abs(hits / trials - 0.75) <= 0.02
 
     def test_queue_mismatch(self):
-        with pytest.raises(QueueMismatchError):
+        with pytest.raises(RankingError, match="^FOREIGN_CASE: 'c'$"):
             random_mix([["a", "b"], ["a", "c"]], [1, 1], seed=0)
 
     def test_output_is_permutation(self):
@@ -106,7 +105,7 @@ class TestBordaMix:
         assert [set(g) for g in out.groups] == [set(g) for g in ranking.groups]
 
     def test_queue_mismatch(self):
-        with pytest.raises(QueueMismatchError):
+        with pytest.raises(RankingError, match="^FOREIGN_CASE: 'z'$"):
             borda_mix([singletons("a", "b"), singletons("a", "z")], [1, 1])
 
 
@@ -294,14 +293,14 @@ class TestBreakTies:
         assert [set(g) for g in out.groups] == [{"a", "b"}, {"c"}]
 
     def test_queue_mismatch(self):
-        with pytest.raises(QueueMismatchError):
+        with pytest.raises(RankingError, match="^FOREIGN_CASE: 'b'$"):
             break_ties(singletons("a"), singletons("b"))
 
     def test_duplicate_cases_rejected(self):
         # the same sets of cases, but one ranking holds a case twice
-        with pytest.raises(QueueMismatchError):
+        with pytest.raises(RankingError, match="^DUPLICATE_CASE: 'b'$"):
             break_ties(singletons("a", "b"), singletons("a", "b", "b"))
-        with pytest.raises(QueueMismatchError):
+        with pytest.raises(RankingError, match="^DUPLICATE_CASE: 'a'$"):
             break_ties(singletons("a", "a", "b"), singletons("a", "b"))
 
 

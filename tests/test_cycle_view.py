@@ -29,6 +29,7 @@ from oracles import (
     evaluate_approach_oracle,
     flatten_oracle,
     napfd_oracle,
+    permutation_oracle,
     random_mix_oracle,
     ranked_from_scores_oracle,
 )
@@ -36,7 +37,17 @@ from synth import cycle, example_sources, shipped_approach_specs
 from tcp_lab import approaches, combinators, evaluation, metrics
 from tcp_lab.dataset import write_canonical
 from tcp_lab.evaluation import ALL_METRICS, EvaluationConfig, ProjectConfig, evaluate_project
-from tcp_lab.model import FlattenPolicy, ProjectHistory, RankedSuite, flatten, ranked_from_scores
+from tcp_lab.model import (
+    DUPLICATE_CASE,
+    FOREIGN_CASE,
+    MISSING_CASE,
+    FlattenPolicy,
+    ProjectHistory,
+    RankedSuite,
+    RankingError,
+    flatten,
+    ranked_from_scores,
+)
 from tcp_lab.stats import ScoreMatrix, friedman
 
 SPECS = shipped_approach_specs()
@@ -197,16 +208,24 @@ def test_metrics_match_old_path(case, prefix):
 @given(failing_or_not_cycles(), st.data())
 def test_non_permutations_rejected_like_old_path(case, data):
     record, order = case
-    broken = data.draw(
+    broken, (code, culprit) = data.draw(
         st.sampled_from(
-            [order[:-1], order + order[:1], order[:-1] + ["foreign"], [order[0]] * len(order)]
+            [
+                (order[:-1], (MISSING_CASE, order[-1])),
+                (order + order[:1], (DUPLICATE_CASE, order[0])),
+                (order[:-1] + ["foreign"], (FOREIGN_CASE, "foreign")),
+                ([order[0]] * len(order), (DUPLICATE_CASE, order[0])),
+            ]
         )
     )
     if sorted(broken) == sorted(order):
         return  # a one-case suite repeated once is still a permutation
+    view = metrics.CycleView(record)
+    assert result_of(permutation_oracle, broken, view.position)[0] is ValueError
+    expected = (RankingError, f"{code}: {culprit!r}")
+    assert result_of(view.score, broken) == expected
     for name, oracle in METRIC_ORACLES.items():
-        expected = result_of(oracle, broken, record)
-        assert expected[0] is ValueError
+        assert result_of(oracle, broken, record)[0] is ValueError
         assert result_of(getattr(metrics, name), broken, record) == expected
 
 
@@ -314,9 +333,9 @@ def test_random_mix_non_finite_weights_like_choices(weights):
 
 
 def test_random_mix_still_checks_queues():
-    with pytest.raises(combinators.QueueMismatchError):
+    with pytest.raises(RankingError, match="^FOREIGN_CASE: 'c'$"):
         combinators.random_mix([["a", "b"], ["a", "c"]], [1, 1])
-    with pytest.raises(combinators.QueueMismatchError):
+    with pytest.raises(RankingError, match="^DUPLICATE_CASE: 'a'$"):
         combinators.random_mix([["a", "a"], ["a", "a"]], [1, 1])
 
 

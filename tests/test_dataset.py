@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ingest_oracle
+from oracles import ingest_oracle, read_build_times_oracle
 from synth import cycle, random_history
 from tcp_lab.dataset import (
     CANONICAL_HEADER,
@@ -309,6 +309,44 @@ def test_ingest_matches_dict_reader_oracle(case):
             assert _outcome(ingest, source, mapping, delimiter) == _outcome(
                 ingest_oracle, source, mapping, delimiter
             )
+
+
+@st.composite
+def _build_time_tables(draw):
+    """Build-time tables with shuffled, repeated, extra or missing columns,
+    blank lines, short and long rows, and bad or negative seconds."""
+    header = list(draw(st.permutations(["job_id", "seconds", "note"])))
+    header += draw(st.lists(st.sampled_from(["job_id", "seconds", "x"]), max_size=2))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        header.remove(draw(st.sampled_from(header)))
+    cell = st.sampled_from(["j1", " j2 ", "", "0", "1.5", "30", "-1", "inf", "nan", "x"])
+    lines = [header]
+    for _ in range(draw(st.integers(0, 5))):
+        row = [draw(cell) for _ in header]
+        row = row[: draw(st.integers(0, len(row)))] if draw(st.booleans()) else row
+        lines.append(row + ["more"] * draw(st.integers(0, 1)))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    for row in lines:
+        if draw(st.sampled_from([False] * 5 + [True])):
+            out.write("\n")  # a blank line
+        writer.writerow(row)
+    return out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_build_time_tables())
+def test_read_build_times_matches_dict_reader_oracle(text):
+    def outcome(read, path):
+        try:
+            return ("ok", read(path))
+        except DatasetError as error:
+            return ("error", error.code, error.detail)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "times.csv"
+        path.write_text(text, encoding="utf-8")
+        assert outcome(read_build_times, path) == outcome(read_build_times_oracle, path)
 
 
 class TestCanonicalRoundTrip:

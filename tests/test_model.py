@@ -48,6 +48,13 @@ class TestValidateRanking:
         assert err.value.code == FOREIGN_CASE
         assert err.value.case == "z"
 
+    def test_suite_holding_a_case_twice(self):
+        with pytest.raises(RankingError) as err:
+            validate_ranking(["a", "b", "a"], RankedSuite((("a",), ("b",))))
+        assert (err.value.code, err.value.case) == (DUPLICATE_CASE, "a")
+        with pytest.raises(RankingError, match="^DUPLICATE_CASE: 'a'$"):
+            validate_ranking(["a", "a"], RankedSuite((("a",),)))
+
     def test_empty_group_rejected_at_construction(self):
         with pytest.raises(ValueError):
             RankedSuite((("a",), ()))
@@ -95,7 +102,7 @@ class TestDataInvariants:
             TestExecution("", 1.0, Verdict.PASS)
 
     def test_duplicate_case_in_cycle_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(RankingError, match="^DUPLICATE_CASE: 'a'$"):
             CycleRecord(
                 0,
                 "j",
