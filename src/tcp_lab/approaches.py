@@ -16,7 +16,7 @@ import enum
 import random
 import re
 from collections import Counter
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from tcp_lab.model import (
     Approach,
@@ -52,12 +52,27 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+class _ZeroDefault(dict):
+    """A dict that reads 0.0 for a missing key, without storing it."""
+
+    def __missing__(self, key: object) -> float:
+        return 0.0
+
+
 class SmoothedSeries:
-    """Per-case exponentially smoothed values, lazily initialized at 0."""
+    """Per-case exponentially smoothed values, lazily initialized at 0.
+
+    ``value(case)`` is the dict lookup itself, so that scoring a suite calls
+    no Python function per case seen before. ``update`` reads with ``get``,
+    which skips the ``__missing__`` call for a case seen for the first time.
+    """
+
+    value: Callable[[TestCaseId], float]
 
     def __init__(self, alpha: float):
         self.alpha = _check_alpha(alpha)
-        self._values: dict[TestCaseId, float] = {}
+        self._values: dict[TestCaseId, float] = _ZeroDefault()
+        self.value = self._values.__getitem__
 
     def update(self, case: TestCaseId, observation: float) -> None:
         """Smooth in one observation: alpha*observation + (1-alpha)*previous."""
@@ -66,15 +81,12 @@ class SmoothedSeries:
             case, 0.0
         )
 
-    def value(self, case: TestCaseId) -> float:
-        return self._values.get(case, 0.0)
-
 
 class BaseOrder(Approach):
     """Run the suite in its original arrangement; the no-prioritization baseline."""
 
     def rank(self, suite: Sequence[TestCaseId]) -> RankedSuite:
-        return RankedSuite(tuple((case,) for case in suite))
+        return RankedSuite._trusted(tuple(zip(suite)))
 
 
 class RandomOrder(Approach):
@@ -92,7 +104,7 @@ class RandomOrder(Approach):
     def rank(self, suite: Sequence[TestCaseId]) -> RankedSuite:
         order = list(suite)
         random.Random(self._cycle_seed).shuffle(order)
-        return RankedSuite(tuple((case,) for case in order))
+        return RankedSuite._trusted(tuple(zip(order)))
 
     def observe(self, executions: Sequence[TestExecution]) -> None:
         self._cycle_seed = self._stream.getrandbits(64)
@@ -105,7 +117,7 @@ class RecentnessOrder(Approach):
         self._appearances: Counter[TestCaseId] = Counter()
 
     def rank(self, suite: Sequence[TestCaseId]) -> RankedSuite:
-        return ranked_from_scores(suite, lambda case: self._appearances[case])
+        return ranked_from_scores(suite, self._appearances.__getitem__)
 
     def observe(self, executions: Sequence[TestExecution]) -> None:
         for execution in executions:
@@ -124,22 +136,22 @@ class FoldFailsOrder(Approach):
 
     SUM accumulates the number of failing cycles (the total strategy);
     EXP_SMOOTH applies exponential smoothing to the 0/1 failure indicator,
-    which weighs recent failures more.
+    which weighs recent failures more. ``score(case)`` is the lookup of
+    that state.
     """
+
+    score: Callable[[TestCaseId], float]
 
     def __init__(self, folder: Folder = Folder.SUM, alpha: float = DEFAULT_ALPHA):
         self.folder = Folder(folder)
+        self._sums: Counter[TestCaseId] = Counter()
         if self.folder is Folder.EXP_SMOOTH:
             self._smoothed = SmoothedSeries(alpha)
+            self.score = self._smoothed.value
         else:
             _check_alpha(alpha)
             self._smoothed = None
-        self._sums: Counter[TestCaseId] = Counter()
-
-    def score(self, case: TestCaseId) -> float:
-        if self._smoothed is not None:
-            return self._smoothed.value(case)
-        return float(self._sums[case])
+            self.score = self._sums.__getitem__
 
     def rank(self, suite: Sequence[TestCaseId]) -> RankedSuite:
         return ranked_from_scores(suite, self.score, descending=True)
@@ -161,9 +173,7 @@ class ExeTimeOrder(Approach):
 
     def __init__(self, alpha: float = DEFAULT_ALPHA):
         self._smoothed = SmoothedSeries(alpha)
-
-    def score(self, case: TestCaseId) -> float:
-        return self._smoothed.value(case)
+        self.score = self._smoothed.value
 
     def rank(self, suite: Sequence[TestCaseId]) -> RankedSuite:
         return ranked_from_scores(suite, self.score)
@@ -328,14 +338,17 @@ def farthest_pair_start(
     """Member of the maximum-distance pair with the lower original position.
 
     ``distances`` holds the pairwise distance keys over ``suite``. Ties
-    between pairs resolve to the earliest pair in position order.
+    between pairs resolve to the earliest pair in position order: ``argmax``
+    over the row-major matrix, with the diagonal and lower triangle masked,
+    returns the first maximal pair (i, j) with i < j.
     """
     import numpy as np
 
-    upper_rows, upper_columns = np.triu_indices(len(suite), k=1)
-    if not len(upper_rows):
+    n = len(suite)
+    if n < 2:
         return suite[0]
-    return suite[upper_rows[np.argmax(distances[upper_rows, upper_columns])]]
+    upper = np.where(np.tri(n, dtype=bool), -np.inf, distances)
+    return suite[int(np.argmax(upper)) // n]
 
 
 class CodeDistOrder(Approach):
@@ -371,4 +384,4 @@ class CodeDistOrder(Approach):
             last = int(np.argmax(np.where(visited, -1.0, distances[last])))
             visited[last] = True
             chain.append(suite[last])
-        return RankedSuite(tuple((case,) for case in chain))
+        return RankedSuite._trusted(tuple(zip(chain)))

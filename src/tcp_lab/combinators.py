@@ -115,7 +115,7 @@ def random_mix(
         pointers[picked] = p + 1
         emitted.add(queue[p])
         order.append(queue[p])
-    return RankedSuite(tuple((case,) for case in order))
+    return RankedSuite._trusted(tuple(zip(order)))
 
 
 def borda_mix(
@@ -260,7 +260,7 @@ def break_ties(primary: RankedSuite, secondary: RankedSuite) -> RankedSuite:
             else:
                 groups.append([case])
                 last_group = secondary_group[case]
-    return RankedSuite(tuple(tuple(group) for group in groups))
+    return RankedSuite._trusted(tuple(map(tuple, groups)))
 
 
 def break_ties_codedist(
@@ -295,7 +295,7 @@ def break_ties_codedist(
             pending[i] = False
             picked.append(group[i])
             np.minimum(min_dist, distances[members.start + i], out=min_dist)
-    return RankedSuite(tuple((case,) for case in picked))
+    return RankedSuite._trusted(tuple(zip(picked)))
 
 
 class _Combined(Approach):
@@ -317,7 +317,11 @@ class _Combined(Approach):
 
 
 class _MixedOrder(_Combined):
-    """Base for mixers: weighted children, zero-weight ones never ranked."""
+    """Base for mixers: weighted children, zero-weight ones never ranked.
+
+    A mixer's weights never change, so the children it ranks and their
+    weights are fixed in the constructor.
+    """
 
     def __init__(self, children: Sequence[tuple[Approach, float]]):
         approaches = [child for child, _ in children]
@@ -326,7 +330,7 @@ class _MixedOrder(_Combined):
             raise ValueError("a mixer needs at least one child")
         _check_weights(weights, len(children))
         super().__init__(approaches)
-        self._weights = weights
+        self._ranked, self._weights = self._active(weights)
 
 
 class RandomMixedOrder(_MixedOrder):
@@ -339,11 +343,10 @@ class RandomMixedOrder(_MixedOrder):
         self._cycle_seed = self._stream.getrandbits(64)
 
     def rank(self, suite: Sequence[TestCaseId]) -> RankedSuite:
-        children, weights = self._active(self._weights)
         queues = [
-            flatten(child.rank(suite), FlattenPolicy.STABLE) for child in children
+            flatten(child.rank(suite), FlattenPolicy.STABLE) for child in self._ranked
         ]
-        return random_mix(queues, weights, seed=self._cycle_seed)
+        return random_mix(queues, self._weights, seed=self._cycle_seed)
 
     def observe(self, executions: Sequence[TestExecution]) -> None:
         super().observe(executions)
@@ -354,9 +357,8 @@ class BordaMixedOrder(_MixedOrder):
     """Mixer merging child rankings by weighted Borda count."""
 
     def rank(self, suite: Sequence[TestCaseId]) -> RankedSuite:
-        children, weights = self._active(self._weights)
-        rankings = [child.rank(suite) for child in children]
-        return borda_mix(rankings, weights, suite=suite)
+        rankings = [child.rank(suite) for child in self._ranked]
+        return borda_mix(rankings, self._weights, suite=suite)
 
 
 class SchulzeMixedOrder(_MixedOrder):
@@ -373,9 +375,8 @@ class SchulzeMixedOrder(_MixedOrder):
         self.max_suite = max_suite
 
     def rank(self, suite: Sequence[TestCaseId]) -> RankedSuite:
-        children, weights = self._active(self._weights)
-        rankings = [child.rank(suite) for child in children]
-        return schulze_mix(rankings, weights, suite=suite, max_suite=self.max_suite)
+        rankings = [child.rank(suite) for child in self._ranked]
+        return schulze_mix(rankings, self._weights, suite=suite, max_suite=self.max_suite)
 
 
 class InterpolatedOrder(_Combined):

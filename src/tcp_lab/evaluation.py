@@ -1,10 +1,12 @@
 """Replay harness: run approaches over CI histories and collect metrics.
 
 Replay protocol per cycle: rank the suite (timing just the rank call with a
-monotonic clock), validate the ranking, flatten it to a total order, score
-that order against the cycle's actual verdicts and durations, then hand the
-cycle's results to the approach. Scoring strictly follows ranking, so an
-approach can never see the outcome of the cycle it is prioritizing.
+monotonic clock), flatten the ranking to a total order, score that order
+against the cycle's actual verdicts and durations, then hand the cycle's
+results to the approach. Scoring checks that the order is exactly the suite;
+flattening neither adds nor drops a case, so that one check covers the
+ranking. Scoring strictly follows ranking, so an approach can never see the
+outcome of the cycle it is prioritizing.
 
 Determinism: everything except wall-clock prioritization times is a pure
 function of the configuration and master seed. Raw metric values therefore
@@ -41,7 +43,6 @@ from tcp_lab.model import (  # ConfigError is re-exported here too
     FlattenPolicy,
     ProjectHistory,
     flatten,
-    validate_ranking,
 )
 
 ALL_METRICS = ("apfd", "apfd_c", "rapfd", "rapfd_c", "ntr", "atr")
@@ -245,7 +246,6 @@ def evaluate_approach(
             started = time.perf_counter()
             ranking = approach.rank(suite)
             prioritization = time.perf_counter() - started
-            validate_ranking(suite, ranking)
             tie_seed = flatten_seeds.getrandbits(63) if flatten_seeds else 0
             scored = view.score(flatten(ranking, config.tie_policy, seed=tie_seed))
             first_fault = scored.first_fault_time

@@ -18,7 +18,7 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import chain
 from pathlib import Path
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
@@ -172,6 +172,18 @@ class RankedSuite:
         if not all(groups):
             raise ValueError("ranking groups must be non-empty")
 
+    @classmethod
+    def _trusted(cls, groups: tuple[tuple[TestCaseId, ...], ...]) -> RankedSuite:
+        """A ranking over ``groups`` as given, skipping normalisation and checks.
+
+        Only for the library's own builders, whose ``groups`` are already a
+        tuple of non-empty tuples; whether they partition the suite is still
+        checked where the ranking is used.
+        """
+        ranking = object.__new__(cls)
+        object.__setattr__(ranking, "groups", groups)
+        return ranking
+
     def cases(self) -> tuple[TestCaseId, ...]:
         """All cases in group order (within groups: original order)."""
         return tuple(chain.from_iterable(self.groups))
@@ -187,18 +199,14 @@ def ranked_from_scores(
 
     ``score_of`` maps a case id to a totally ordered score (no NaN); equal
     scores form one tie group. Ascending by default (lower score first).
-    Each score is computed once; the stable sort keeps equal scores in
-    original order, also when reversed for ``descending``.
+    Each score is computed once; cases are bucketed by score in original
+    order and only the distinct scores are sorted.
     """
-    keys = list(map(score_of, suite))
-    order = sorted(range(len(keys)), key=keys.__getitem__, reverse=descending)
-    case_at = suite.__getitem__
-    return RankedSuite(
-        tuple(
-            tuple(map(case_at, positions))
-            for _, positions in groupby(order, keys.__getitem__)
-        )
-    )
+    buckets: dict[object, list[TestCaseId]] = {}
+    for case in suite:
+        buckets.setdefault(score_of(case), []).append(case)
+    ordered = sorted(buckets, reverse=descending)
+    return RankedSuite._trusted(tuple(map(tuple, map(buckets.__getitem__, ordered))))
 
 
 def suite_set(suite: Iterable[TestCaseId]) -> set[TestCaseId]:

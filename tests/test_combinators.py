@@ -8,7 +8,7 @@ import random
 import pytest
 
 from oracles import build_oracle, spec_is_randomized_oracle, widest_path_oracle
-from synth import cycle, random_history, replay
+from synth import cycle, example_sources, random_history, replay, shipped_approach_specs
 from tcp_lab import approaches
 from tcp_lab.approaches import (
     BaseOrder,
@@ -39,7 +39,14 @@ from tcp_lab.combinators import (
     spec_is_randomized,
     strongest_paths,
 )
-from tcp_lab.model import FlattenPolicy, RankedSuite, RankingError, flatten
+from tcp_lab.model import (
+    Approach,
+    FlattenPolicy,
+    RankedSuite,
+    RankingError,
+    flatten,
+    validate_ranking,
+)
 
 
 def singletons(*cases):
@@ -643,3 +650,43 @@ class TestMixerClasses:
         solo = ExeTimeOrder()
         suite = ["a", "b", "c"]
         assert mixer.rank(suite) == solo.rank(suite)
+
+
+def _approach_classes(cls=Approach):
+    for subclass in cls.__subclasses__():
+        yield subclass
+        yield from _approach_classes(subclass)
+
+
+@pytest.mark.parametrize("history_seed", range(4))
+def test_every_node_returns_normalised_groups(monkeypatch, history_seed):
+    # the library's builders make rankings without the public constructor's
+    # normalisation; every node of every shipped spec must still return what
+    # that constructor would make of its groups: a tuple of non-empty tuples
+    returned = []
+
+    def recording(rank):
+        def wrapper(self, suite):
+            ranking = rank(self, suite)
+            returned.append((type(self).__name__, list(suite), ranking))
+            return ranking
+
+        return wrapper
+
+    nodes = set()
+    for cls in _approach_classes():
+        if "rank" in vars(cls) and cls.__module__.startswith("tcp_lab."):
+            monkeypatch.setattr(cls, "rank", recording(vars(cls)["rank"]))
+            nodes.add(cls.__name__)
+    rng = random.Random(history_seed)
+    history = random_history(rng, n_cycles=15, pool_size=rng.randint(1, 9), min_suite=1)
+    sources = example_sources(case for record in history.cycles for case in record.suite)
+    for spec in shipped_approach_specs().values():
+        replay(build(spec, sources=sources, master_seed=history_seed), history)
+    assert {node for node, _, _ in returned} == nodes
+    for node, suite, ranking in returned:
+        groups = ranking.groups
+        assert type(groups) is tuple, node
+        assert all(type(group) is tuple and group for group in groups), node
+        assert ranking == RankedSuite(groups), node
+        validate_ranking(suite, ranking)

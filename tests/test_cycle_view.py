@@ -299,6 +299,30 @@ def test_flatten_matches_old(ranking, policy, seed):
     assert flatten(ranking, policy, seed=seed) == flatten_oracle(ranking, policy, seed=seed)
 
 
+# groups that may repeat a case, within and across groups, as a faulty
+# approach's ranking can
+loose_rankings = st.lists(
+    st.lists(st.sampled_from("abcd"), min_size=1, max_size=5).map(tuple), max_size=6
+).map(lambda groups: RankedSuite(tuple(groups)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rankings() | loose_rankings,
+    st.sampled_from(list(FlattenPolicy)),
+    st.integers(0, 2**63 - 1),
+)
+def test_flatten_permutes_only_within_groups(ranking, policy, seed):
+    # the harness checks only the flattened order against the suite, which
+    # holds for the ranking itself because flatten neither adds nor drops
+    order = flatten(ranking, policy, seed=seed)
+    start = 0
+    for group in ranking.groups:
+        assert sorted(order[start : start + len(group)]) == sorted(group)
+        start += len(group)
+    assert start == len(order)
+
+
 @st.composite
 def mix_inputs(draw):
     suite = [f"c{i}" for i in range(draw(st.integers(0, 25)))]

@@ -18,7 +18,16 @@ from tcp_lab.evaluation import (
     evaluate_project,
 )
 from tcp_lab.dataset import write_canonical
-from tcp_lab.model import Approach, FlattenPolicy, ProjectHistory, RankedSuite
+from tcp_lab.model import (
+    DUPLICATE_CASE,
+    FOREIGN_CASE,
+    MISSING_CASE,
+    Approach,
+    FlattenPolicy,
+    ProjectHistory,
+    RankedSuite,
+    RankingError,
+)
 
 
 def small_config(projects=(), **overrides):
@@ -198,6 +207,33 @@ class TestSemanticSeparation:
             assert scores[name] > 0.85, name
             assert atrs[name] > atrs["random"] > atrs["base"], name
         assert atrs["base"] == 0.0
+
+
+class TestBadRankings:
+    @pytest.mark.parametrize("policy", list(FlattenPolicy), ids=lambda p: p.value)
+    @pytest.mark.parametrize(
+        "order, code, case",
+        [
+            (["b", "a"], MISSING_CASE, "c"),
+            (["c", "x", "b", "a"], FOREIGN_CASE, "x"),
+            (["c", "b", "a", "b"], DUPLICATE_CASE, "b"),
+        ],
+    )
+    def test_one_fault_is_named_under_either_tie_policy(
+        self, monkeypatch, policy, order, code, case
+    ):
+        # one tie group, so that the random policy shuffles the order before
+        # the harness checks it
+        class OneGroup(Approach):
+            def rank(self, suite):
+                return RankedSuite((tuple(order),))
+
+        monkeypatch.setattr(evaluation, "build", lambda spec, **kwargs: OneGroup())
+        history = ProjectHistory("p", (cycle(0, ["a", "b", "c"], failures=["a"]),))
+        config = small_config(tie_policy=policy)
+        with pytest.raises(RankingError) as raised:
+            evaluate_approach(history, "bad", {"type": "base_order"}, config)
+        assert (raised.value.code, raised.value.case) == (code, case)
 
 
 class TestProjectIsolation:

@@ -11,13 +11,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     break_ties_codedist_oracle,
     break_ties_oracle,
     code_dist_chain_oracle,
+    farthest_pair_start_oracle,
     pairwise_preferences_oracle,
     safe_distance,
     schulze_mix_oracle,
@@ -28,6 +29,7 @@ from tcp_lab.approaches import (
     DistanceMetric,
     SourceVectors,
     StartPolicy,
+    farthest_pair_start,
     tokenize,
 )
 from tcp_lab.combinators import (
@@ -118,6 +120,29 @@ class TestCodeDistances:
             assert outcome(approach.rank, cycle_suite) == outcome(
                 code_dist_chain_oracle, cycle_suite, sources, metric, start
             )
+
+
+class TestFarthestPairStart:
+    @KERNEL_SETTINGS
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        )
+    )
+    @example([[0]])
+    @example([[0, 0], [0, 0]])
+    @example([[0] * 8] * 8)  # a suite without sources: every key is 0
+    def test_earliest_maximal_pair_like_oracle(self, d):
+        # small integer keys tie often; the matrix need not be symmetric, so
+        # reading the lower triangle would show
+        suite = [f"c{i}" for i in range(len(d))]
+        position = {case: i for i, case in enumerate(suite)}
+        expected = farthest_pair_start_oracle(
+            suite, lambda a, b: float(d[position[a]][position[b]])
+        )
+        assert farthest_pair_start(suite, np.array(d, dtype=np.float64)) == expected
 
 
 class TestBreakTiesCodeDist:
