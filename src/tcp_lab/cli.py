@@ -70,6 +70,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     from tcp_lab.evaluation import EvaluationConfig, run_evaluation, write_outcomes
 
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be a positive integer, got {args.jobs}")
     config_path = Path(args.config)
     config = EvaluationConfig.from_dict(read_json(config_path), base_dir=config_path.parent)
     env_seed = _env_seed()

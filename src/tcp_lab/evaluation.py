@@ -1,12 +1,19 @@
 """Replay harness: run approaches over CI histories and collect metrics.
 
-Replay protocol per cycle: rank the suite (timing just the rank call with a
-monotonic clock), flatten the ranking to a total order, score that order
-against the cycle's actual verdicts and durations, then hand the cycle's
-results to the approach. Scoring checks that the order is exactly the suite;
-flattening neither adds nor drops a case, so that one check covers the
-ranking. Scoring strictly follows ranking, so an approach can never see the
-outcome of the cycle it is prioritizing.
+One replay is three steps, each owned by one function:
+
+1. :func:`replay` runs the rank/observe protocol and times each ``rank``
+   call with a monotonic clock. It hands a cycle's results to ``observe``
+   only when its consumer asks for the next cycle, so every cycle is scored
+   before the approach sees its outcome.
+2. :func:`score_cycle` flattens a ranking under the tie policy and scores
+   the order against the cycle's verdicts and durations. Scoring checks that
+   the order is exactly the suite; flattening neither adds nor drops a case,
+   so that one check covers the ranking.
+3. :func:`evaluate_approach` keeps one :class:`CycleRow` and one
+   :class:`TimingRow` per cycle and repetition, and computes every aggregate
+   from those rows alone: each repetition's in ``_repetition_aggregates``,
+   then their mean over repetitions.
 
 Determinism: everything except wall-clock prioritization times is a pure
 function of the configuration and master seed. Raw metric values therefore
@@ -21,9 +28,13 @@ import json
 import platform
 import random
 import time
+from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from tcp_lab import metrics as metrics_mod
 from tcp_lab.approaches import SourceVectors
@@ -34,14 +45,18 @@ from tcp_lab.metrics import (
     CycleView,
     DegenerateBoundsError,
     MetricError,
+    ScoredOrder,
     ZeroTotalTimeError,
     mean_median,
     testing_time,
 )
 from tcp_lab.model import (  # ConfigError is re-exported here too
+    Approach,
     ConfigError,
+    CycleRecord,
     FlattenPolicy,
     ProjectHistory,
+    RankedSuite,
     flatten,
 )
 
@@ -87,7 +102,7 @@ class EvaluationConfig:
         for entry in projects_raw:
             if not isinstance(entry, Mapping) or "name" not in entry or "history" not in entry:
                 raise ConfigError("each project needs 'name' and 'history'")
-            name = str(entry["name"])
+            name = _path_component("project name", str(entry["name"]))
             if name in seen_names:
                 raise ConfigError(f"duplicate project name {name!r}")
             seen_names.add(name)
@@ -105,6 +120,7 @@ class EvaluationConfig:
         if not isinstance(approaches_raw, Mapping) or not approaches_raw:
             raise ConfigError("config needs a non-empty 'approaches' mapping")
         for name, spec in approaches_raw.items():
+            _path_component("approach name", str(name))
             try:
                 build(spec, master_seed=0)
             except InvalidSpecError as error:
@@ -140,6 +156,13 @@ class EvaluationConfig:
             tie_policy=tie_policy,
             metric_names=metric_names,
         )
+
+
+def _path_component(field: str, name: str) -> str:
+    """``name`` if it is one plain path component (it names files under ``--out``)."""
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ConfigError(f"{field} {name!r} must be one plain path component")
+    return name
 
 
 @dataclass
@@ -211,21 +234,19 @@ def evaluate_approach(
 ) -> ApproachOutcome:
     """Replay one approach over a (filtered) history, all repetitions.
 
-    ``baseline`` and ``vectors`` are the project's cycle views and source
-    vectors; callers replaying several approaches pass them in to share
-    them.
+    Callers replaying several approaches pass the project's cycle views
+    (``baseline``) and source ``vectors`` in to share them.
     """
     if baseline is None:
         baseline = _baseline(history)
     if vectors is None:
         vectors = SourceVectors(history.sources)
     repetitions = config.repetitions if spec_is_randomized(spec) else 1
-    wanted = config.metric_names
-    family = [m for m in APFD_FAMILY if m in wanted]
+    family = [m for m in APFD_FAMILY if m in config.metric_names]
     rows: list[CycleRow] = []
     timing_rows: list[TimingRow] = []
-    exclusions = {"rapfd_degenerate": 0, "rapfd_c_degenerate": 0}
-    per_rep: dict[str, list[float]] = {}
+    exclusions = Counter({"rapfd_degenerate": 0, "rapfd_c_degenerate": 0})
+    per_rep: list[dict[str, float]] = []
 
     for rep in range(repetitions):
         approach = build(
@@ -233,101 +254,102 @@ def evaluate_approach(
             sources=vectors,
             master_seed=derive_seed(config.seed, name, rep),
         )
-        flatten_seeds = None
-        if config.tie_policy is FlattenPolicy.RANDOM:
-            flatten_seeds = random.Random(derive_seed(config.seed, name, rep, "ties"))
-        rep_values: dict[str, list[float]] = {m: [] for m in APFD_FAMILY}
-        rep_tts: list[float] = []
-        rep_pt = 0.0
-        ntr_pairs: list[tuple[float, float]] = []
-
-        for cycle, view in zip(history.cycles, baseline):
-            suite = list(view.suite)
-            started = time.perf_counter()
-            ranking = approach.rank(suite)
-            prioritization = time.perf_counter() - started
-            tie_seed = flatten_seeds.getrandbits(63) if flatten_seeds else 0
-            scored = view.score(flatten(ranking, config.tie_policy, seed=tie_seed))
-            first_fault = scored.first_fault_time
-            full = scored.full_time
-            values: dict[str, float | None] = {}
-            if view.failed:
-                for metric_name in family:
-                    try:
-                        value = getattr(scored, metric_name)
-                    except DegenerateBoundsError:
-                        if rep == 0:
-                            exclusions[f"{metric_name}_degenerate"] += 1
-                        value = None
-                    except ZeroTotalTimeError:
-                        # cycle-level condition (all durations zero); count once per metric
-                        if rep == 0:
-                            key = f"{metric_name}_zero_time"
-                            exclusions[key] = exclusions.get(key, 0) + 1
-                        value = None
-                    values[metric_name] = value
-                    if value is not None:
-                        rep_values[metric_name].append(value)
-                ntr_pairs.append((full, first_fault if first_fault is not None else full))
-            rows.append(
-                CycleRow(
-                    repetition=rep,
-                    cycle_index=cycle.index,
-                    suite_size=len(suite),
-                    fault_count=view.fault_count,
-                    values=values,
-                    first_fault_time=first_fault,
-                    full_time=full,
-                )
+        tie_seeds = random.Random(derive_seed(config.seed, name, rep, "ties"))
+        first = len(rows)
+        for (cycle, ranking, prioritization), view in zip(replay(approach, history), baseline):
+            scored, values, excluded = score_cycle(
+                view, ranking, config.tie_policy, tie_seeds.getrandbits(63), family
             )
-            tt = testing_time(CycleTiming(prioritization, view.build, first_fault, full))
-            rep_tts.append(tt)
-            rep_pt += prioritization
+            if rep == 0:
+                exclusions.update(excluded)
+            ff, full = scored.first_fault_time, scored.full_time
+            rows.append(
+                CycleRow(rep, cycle.index, len(view.suite), view.fault_count, values, ff, full)
+            )
+            tt = testing_time(CycleTiming(prioritization, view.build, ff, full))
             timing_rows.append(
                 TimingRow(rep, cycle.index, prioritization, view.build, tt, view.tt)
             )
-            approach.observe(cycle.executions)
+        per_rep.append(_repetition_aggregates(rows[first:], timing_rows[first:], family))
 
-        for metric_name in family:
-            if rep_values[metric_name]:
-                mean, median = mean_median(rep_values[metric_name])
-                per_rep.setdefault(f"{metric_name}_mean", []).append(mean)
-                per_rep.setdefault(f"{metric_name}_median", []).append(median)
-        if "ntr" in wanted:
-            try:
-                per_rep.setdefault("ntr", []).append(metrics_mod.ntr(ntr_pairs))
-            except MetricError:
-                pass
-        if "atr" in wanted:
-            try:
-                per_rep.setdefault("atr", []).append(
-                    metrics_mod.atr(rep_tts, [b.tt for b in baseline])
-                )
-            except MetricError:
-                pass
-        per_rep.setdefault("total_pt", []).append(rep_pt)
-
-    aggregates: dict[str, float | None] = {}
-    no_data: list[str] = []
     keys = [f"{m}_{s}" for m in family for s in ("mean", "median")]
-    keys += [m for m in ("ntr", "atr") if m in wanted]
+    keys += [m for m in ("ntr", "atr") if m in config.metric_names]
     keys.append("total_pt")
+    aggregates: dict[str, float | None] = {}
     for key in keys:
-        series = per_rep.get(key, [])
-        if series:
-            aggregates[key] = sum(series) / len(series)
-        else:
-            aggregates[key] = None
-            no_data.append(key)
+        series = [values[key] for values in per_rep if key in values]
+        aggregates[key] = sum(series) / len(series) if series else None
     return ApproachOutcome(
         approach=name,
         repetitions=repetitions,
         rows=rows,
         timing=timing_rows,
         aggregates=aggregates,
-        no_data=no_data,
-        exclusions=exclusions,
+        no_data=[key for key in keys if aggregates[key] is None],
+        exclusions=dict(exclusions),
     )
+
+
+def replay(
+    approach: Approach, history: ProjectHistory
+) -> Iterator[tuple[CycleRecord, RankedSuite, float]]:
+    """Yield ``(cycle, ranking, prioritization_s)`` for each cycle, timing only ``rank``.
+
+    A cycle's results reach ``observe`` only when the consumer asks for the
+    next cycle, so every cycle is scored before the approach sees it.
+    """
+    for cycle in history.cycles:
+        suite = list(cycle.suite)
+        started = time.perf_counter()
+        ranking = approach.rank(suite)
+        prioritization = time.perf_counter() - started
+        yield cycle, ranking, prioritization
+        approach.observe(cycle.executions)
+
+
+def score_cycle(
+    view: CycleView, ranking: RankedSuite, policy: FlattenPolicy, tie_seed: int, family: list[str]
+) -> tuple[ScoredOrder, dict[str, float | None], list[str]]:
+    """Flatten and score one ranking: ``(scored order, values, exclusion keys)``.
+
+    ``values`` holds the ``family`` values of a failed cycle (None where one
+    is undefined, which adds its exclusion key) and is empty otherwise.
+    """
+    scored = view.score(flatten(ranking, policy, seed=tie_seed))
+    if not view.failed:
+        return scored, {}, []
+    values: dict[str, float | None] = {}
+    excluded: list[str] = []
+    for metric_name in family:
+        try:
+            values[metric_name] = getattr(scored, metric_name)
+        except DegenerateBoundsError:
+            values[metric_name] = None
+            excluded.append(f"{metric_name}_degenerate")
+        except ZeroTotalTimeError:  # all durations zero: a cycle-level condition
+            values[metric_name] = None
+            excluded.append(f"{metric_name}_zero_time")
+    return scored, values, excluded
+
+
+def _repetition_aggregates(
+    rows: Sequence[CycleRow], timing: Sequence[TimingRow], family: Sequence[str]
+) -> dict[str, float]:
+    """One repetition's aggregates from its rows; a key without data is left out."""
+    failed = [row for row in rows if row.first_fault_time is not None]
+    out: dict[str, float] = {}
+    for metric_name in family:
+        values = [v for row in failed if (v := row.values[metric_name]) is not None]
+        if values:
+            out[f"{metric_name}_mean"], out[f"{metric_name}_median"] = mean_median(values)
+    with suppress(MetricError):
+        out["ntr"] = metrics_mod.ntr([(row.full_time, row.first_fault_time) for row in failed])
+    with suppress(MetricError):
+        out["atr"] = metrics_mod.atr(
+            [t.testing_time for t in timing], [t.baseline_tt for t in timing]
+        )
+    out["total_pt"] = reduce(add, (t.prioritization for t in timing), 0.0)
+    return out
 
 
 def evaluate_project(
@@ -357,7 +379,7 @@ def run_evaluation(config: EvaluationConfig, jobs: int = 1) -> list[ProjectOutco
     if jobs > 1 and len(config.projects) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(config.projects))) as pool:
             return list(
                 pool.map(evaluate_project, config.projects, [config] * len(config.projects))
             )
@@ -367,8 +389,9 @@ def run_evaluation(config: EvaluationConfig, jobs: int = 1) -> list[ProjectOutco
 # --- persistence -----------------------------------------------------------
 
 
-def _format_value(value: float | None) -> str:
-    return "" if value is None else repr(value)
+def _csv_line(values: Sequence[object]) -> str:
+    """One CSV line: None is an empty cell, any other value its ``repr``."""
+    return ",".join(["" if value is None else repr(value) for value in values])
 
 
 def write_outcomes(
@@ -377,8 +400,6 @@ def write_outcomes(
     """Persist raw (deterministic) and timing (wall-clock) values plus a summary."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)  # also when every project failed
-    raw_root = out_dir / "raw"
-    timing_root = out_dir / "timing"
     metric_columns = [m for m in APFD_FAMILY if m in config.metric_names]
     summary: dict = {
         "seed": config.seed,
@@ -400,13 +421,12 @@ def write_outcomes(
             "failed_cycles": outcome.failed_cycles,
             "approaches": {},
         }
-        if outcome.error:
-            entry["error"] = outcome.error
         summary["projects"][outcome.project] = entry
         if outcome.error:
+            entry["error"] = outcome.error
             continue
-        raw_dir = raw_root / outcome.project
-        timing_dir = timing_root / outcome.project
+        raw_dir = out_dir / "raw" / outcome.project
+        timing_dir = out_dir / "timing" / outcome.project
         raw_dir.mkdir(parents=True, exist_ok=True)
         timing_dir.mkdir(parents=True, exist_ok=True)
         for name, result in outcome.approaches.items():
@@ -416,38 +436,17 @@ def write_outcomes(
                 "no_data": result.no_data,
                 "exclusions": result.exclusions,
             }
-            header = ["repetition", "cycle", "suite_size", "fault_count"]
-            header += metric_columns
-            header += ["first_fault_time", "full_time"]
-            lines = [",".join(header)]
+            header = ["repetition", "cycle", "suite_size", "fault_count", *metric_columns]
+            lines = [",".join(header + ["first_fault_time", "full_time"])]
             for row in result.rows:
-                cells = [
-                    str(row.repetition),
-                    str(row.cycle_index),
-                    str(row.suite_size),
-                    str(row.fault_count),
-                ]
-                cells += [_format_value(row.values.get(m)) for m in metric_columns]
-                cells += [
-                    _format_value(row.first_fault_time),
-                    repr(row.full_time),
-                ]
-                lines.append(",".join(cells))
+                cells = [row.repetition, row.cycle_index, row.suite_size, row.fault_count]
+                cells += [row.values.get(m) for m in metric_columns]
+                lines.append(_csv_line(cells + [row.first_fault_time, row.full_time]))
             (raw_dir / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
             lines = ["repetition,cycle,prioritization_s,build_s,testing_time_s,baseline_tt_s"]
             for trow in result.timing:
-                lines.append(
-                    ",".join(
-                        [
-                            str(trow.repetition),
-                            str(trow.cycle_index),
-                            repr(trow.prioritization),
-                            repr(trow.build),
-                            repr(trow.testing_time),
-                            repr(trow.baseline_tt),
-                        ]
-                    )
-                )
+                times = [trow.prioritization, trow.build, trow.testing_time, trow.baseline_tt]
+                lines.append(_csv_line([trow.repetition, trow.cycle_index, *times]))
             (timing_dir / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import random
+import statistics
 
 import numpy as np
 import pytest
@@ -457,6 +459,163 @@ class TestEvaluateCommand:
             assert (serial / "raw" / name / "fold.csv").read_bytes() == (
                 parallel / "raw" / name / "fold.csv"
             ).read_bytes()
+
+
+    def test_jobs_capped_at_the_project_count(self, tmp_path, monkeypatch):
+        paths = [
+            make_history_file(tmp_path, name, seed)
+            for name, seed in (("p1", 21), ("p2", 22))
+        ]
+        config = write_config(
+            tmp_path,
+            [{"name": p.stem, "history": p.name} for p in paths],
+            {"base": {"type": "base_order"}},
+        )
+        workers = []
+
+        class InProcessPool:
+            """Records ``max_workers`` and maps in this process; starts no worker."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, function, *iterables):
+                return map(function, *iterables)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+        out = tmp_path / "out"
+        assert main(["evaluate", "--config", str(config), "--out", str(out), "--jobs", "8"]) == 0
+        assert workers == [2]
+        assert (out / "raw" / "p2" / "base.csv").is_file()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2_before_the_replay(self, tmp_path, capsys, monkeypatch, jobs):
+        history_path = make_history_file(tmp_path, "proj", seed=10)
+        config = write_config(
+            tmp_path,
+            [{"name": "proj", "history": history_path.name}],
+            {"base": {"type": "base_order"}},
+        )
+
+        def replay(config, jobs=1):
+            raise AssertionError("replayed with a bad --jobs")
+
+        monkeypatch.setattr("tcp_lab.evaluation.run_evaluation", replay)
+        out = tmp_path / "out"
+        assert main(["evaluate", "--config", str(config), "--out", str(out), "--jobs", jobs]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --jobs must be a positive integer, got {int(jobs)}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, name",
+        [
+            ("project", ""),
+            ("project", "."),
+            ("project", ".."),
+            ("project", "../escaped"),
+            ("project", "a\\b"),
+            ("approach", "a/b"),
+            ("approach", ".."),
+            ("approach", "a\\b"),
+        ],
+    )
+    def test_name_that_is_not_one_path_component_exits_2(self, tmp_path, capsys, field, name):
+        history_path = make_history_file(tmp_path, "proj", seed=10)
+        project = name if field == "project" else "proj"
+        approach = name if field == "approach" else "base"
+        run = tmp_path / "run"
+        run.mkdir()
+        config = write_config(
+            run,
+            [{"name": project, "history": f"../{history_path.name}"}],
+            {approach: {"type": "base_order"}},
+        )
+        out = run / "out"
+        assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {field} name {name!r} must be one plain path component\n"
+        )
+        assert sorted(p.name for p in run.iterdir()) == ["config.json"]
+
+    def test_summary_aggregates_follow_from_raw_and_timing(self, tmp_path):
+        noisy = make_history_file(tmp_path, "noisy", seed=31, n_cycles=12, build_time=0.0)
+        # no failed cycle: no APFD-family value and no NTR
+        quiet = ProjectHistory("quiet", tuple(cycle(i, ["a", "b", "c"]) for i in range(4)))
+        # every case failing at equal cost: both rectified values are excluded
+        edge = ProjectHistory(
+            "edge",
+            (
+                cycle(0, ["a", "b", "c"], failures=["a", "b", "c"]),
+                cycle(1, ["a", "b", "c"], failures=["b"], durations={"a": 2.5}),
+                cycle(2, ["a", "b", "c"]),
+            ),
+        )
+        write_canonical(quiet, tmp_path / "quiet.csv")
+        write_canonical(edge, tmp_path / "edge.csv")
+        projects = [{"name": "noisy", "history": noisy.name}]
+        projects += [{"name": name, "history": f"{name}.csv"} for name in ("quiet", "edge")]
+        config = write_config(
+            tmp_path,
+            projects,
+            {"random": {"type": "random_order"}, "fold": {"type": "fold_fails", "folder": "sum"}},
+            repetitions=4,
+        )
+        out = tmp_path / "out"
+        assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["projects"]["edge"]["approaches"]["fold"]["exclusions"] == {
+            "rapfd_degenerate": 1,
+            "rapfd_c_degenerate": 1,
+        }
+        for project in ("noisy", "quiet", "edge"):
+            for approach, repetitions in (("random", 4), ("fold", 1)):
+                entry = summary["projects"][project]["approaches"][approach]
+                assert entry["repetitions"] == repetitions
+                expected = aggregates_from_csvs(
+                    out / "raw" / project / f"{approach}.csv",
+                    out / "timing" / project / f"{approach}.csv",
+                )
+                assert entry["no_data"] == [k for k, v in expected.items() if v is None]
+                actual = entry["aggregates"]
+                assert list(actual) == sorted(expected)
+                assert actual["total_pt"] == pytest.approx(expected.pop("total_pt"), abs=1e-12)
+                assert {k: actual[k] for k in expected} == expected
+
+
+def aggregates_from_csvs(raw_path, timing_path):
+    """Every aggregate of one (project, approach), recomputed from its written rows."""
+    raw = list(csv.DictReader(raw_path.open(encoding="utf-8")))
+    timing = list(csv.DictReader(timing_path.open(encoding="utf-8")))
+    family = [m for m in ("apfd", "apfd_c", "rapfd", "rapfd_c") if m in raw[0]]
+    keys = [f"{m}_{s}" for m in family for s in ("mean", "median")] + ["ntr", "atr", "total_pt"]
+    series = {key: [] for key in keys}
+    for rep in sorted({int(row["repetition"]) for row in raw}):
+        rows = [row for row in raw if int(row["repetition"]) == rep]
+        times = [row for row in timing if int(row["repetition"]) == rep]
+        failed = [row for row in rows if int(row["fault_count"]) > 0]
+        for metric in family:
+            values = [float(row[metric]) for row in failed if row[metric] != ""]
+            if values:
+                series[f"{metric}_mean"].append(statistics.mean(values))
+                series[f"{metric}_median"].append(statistics.median(values))
+        full = [float(row["full_time"]) for row in failed]
+        saved = [f - float(row["first_fault_time"]) for f, row in zip(full, failed)]
+        if failed and sum(full) != 0:
+            series["ntr"].append(sum(saved) / sum(full))
+        baseline = sum(float(row["baseline_tt_s"]) for row in times)
+        if baseline != 0:
+            spent = sum(float(row["testing_time_s"]) for row in times)
+            series["atr"].append(1.0 - spent / baseline)
+        series["total_pt"].append(sum(float(row["prioritization_s"]) for row in times))
+    return {key: sum(s) / len(s) if s else None for key, s in series.items()}
 
 
 # A 2-row CSV whose second row (line 3) holds a byte that is not UTF-8, or a

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 from typing import Sequence
 
 import pytest
 
 from synth import cycle, random_history
+from test_cycle_view import FakeClock
 from tcp_lab import evaluation
 from tcp_lab.evaluation import (
     ConfigError,
@@ -82,6 +84,35 @@ class TestProtocolSafety:
         outcome = evaluate_approach(history, "sentinel", {"type": "base_order"}, config)
         assert sentinels and sentinels[0].ranked_cycles == len(history.cycles)
         assert outcome.rows
+
+
+class TestReplay:
+    """``replay`` yields each cycle in order and observes it only on demand."""
+
+    history = random_history(random.Random(5), n_cycles=6)
+
+    def test_cycles_in_history_order_timed_by_the_clock(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "time", SimpleNamespace(perf_counter=FakeClock()))
+        steps = list(evaluation.replay(SentinelApproach(), self.history))
+        assert [cycle for cycle, _, _ in steps] == list(self.history.cycles)
+        assert [ranking.groups for _, ranking, _ in steps] == [
+            tuple((case,) for case in cycle.suite) for cycle in self.history.cycles
+        ]
+        assert [seconds for _, _, seconds in steps] == [0.125] * len(self.history.cycles)
+
+    def test_cycle_observed_when_the_next_one_is_asked_for(self):
+        sentinel = SentinelApproach()
+        for k, _ in enumerate(evaluation.replay(sentinel, self.history)):
+            assert (sentinel.ranked_cycles, sentinel.observed_cycles) == (k + 1, k)
+        assert sentinel.observed_cycles == len(self.history.cycles)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_consumer_that_stops_after_cycle_k_leaves_k_observations(self, k):
+        sentinel = SentinelApproach()
+        for index, _ in enumerate(evaluation.replay(sentinel, self.history)):
+            if index == k:
+                break
+        assert (sentinel.ranked_cycles, sentinel.observed_cycles) == (k + 1, k)
 
 
 class TestDeterminism:
