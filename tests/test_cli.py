@@ -545,6 +545,26 @@ class TestEvaluateCommand:
         )
         assert sorted(p.name for p in run.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize(
+        "name", [None, 5, {}, True], ids=["null", "number", "object", "true"]
+    )
+    def test_project_name_that_is_not_a_string_exits_2(self, tmp_path, capsys, name):
+        # str() would turn null into a project called "None", writing raw/None/
+        history_path = make_history_file(tmp_path, "proj", seed=10)
+        run = tmp_path / "run"
+        run.mkdir()
+        config = write_config(
+            run,
+            [{"name": name, "history": f"../{history_path.name}"}],
+            {"base": {"type": "base_order"}},
+        )
+        out = run / "out"
+        assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: project name must be a JSON string, got {json.dumps(name)}\n"
+        )
+        assert sorted(p.name for p in run.iterdir()) == ["config.json"]
+
     def test_summary_aggregates_follow_from_raw_and_timing(self, tmp_path):
         noisy = make_history_file(tmp_path, "noisy", seed=31, n_cycles=12, build_time=0.0)
         # no failed cycle: no APFD-family value and no NTR

@@ -393,6 +393,54 @@ def test_project_tokenizes_each_source_once(tmp_path, monkeypatch):
     assert len(calls) == len(pool)
 
 
+def test_project_computes_keys_once_per_metric_outside_rank(tmp_path, monkeypatch):
+    """One key matrix per project and metric in use, built before any rank."""
+    projects = []
+    for name, pool in (("p", ["a", "b", "c", "d"]), ("q", ["a", "e", "f", "g", "h"])):
+        records = tuple(cycle(i, pool, failures=[pool[i]], build_time=1.0) for i in range(2))
+        history_path = tmp_path / f"{name}.csv"
+        write_canonical(ProjectHistory(name, records), history_path)
+        sources_dir = tmp_path / f"{name}-src"
+        sources_dir.mkdir()
+        for case, text in example_sources(pool).items():
+            (sources_dir / f"{case}.java").write_text(text, encoding="utf-8")
+        projects.append(ProjectConfig(name, history_path, sources_dir))
+    calls = []
+    in_rank = []
+    original = approaches._pairwise_keys
+
+    def counting(counts, metric):
+        calls.append((len(counts), metric, bool(in_rank)))
+        return original(counts, metric)
+
+    def marking(rank):
+        def wrapped(self, suite):
+            in_rank.append(True)
+            try:
+                return rank(self, suite)
+            finally:
+                in_rank.pop()
+
+        return wrapped
+
+    monkeypatch.setattr(approaches, "_pairwise_keys", counting)
+    for node in (approaches.CodeDistOrder, combinators.CodeDistBrokenOrder):
+        monkeypatch.setattr(node, "rank", marking(node.rank))
+    config = EvaluationConfig(
+        projects=tuple(projects),
+        approaches={name: SPECS[name] for name in ("code_dist", "code_dist_cosine", "P3.2")},
+        repetitions=2,
+        min_suite_size=1,
+    )
+    for project, pool_size in zip(projects, (4, 5)):
+        del calls[:]
+        outcome = evaluate_project(project, config)
+        assert outcome.error is None and len(outcome.approaches) == 3
+        # every sourced case plus the empty vector, once per metric in use
+        assert sorted(metric.value for _, metric, _ in calls) == ["cosine", "euclidean"]
+        assert [(rows, inside) for rows, _, inside in calls] == [(pool_size + 1, False)] * 2
+
+
 @pytest.mark.parametrize("k", [2, 3, 5, 9])
 def test_friedman_p_value_is_the_chi_square_tail(k):
     rng = random.Random(k)

@@ -3,12 +3,14 @@
 Each property compares a library kernel with its element-by-element oracle
 in ``oracles.py``: the code-distance chain and its farthest-pair start,
 farthest-point tiebreaking, the Schulze preference, path and beats
-computation, and tie refinement by a secondary ranking.
+computation, and tie refinement by a secondary ranking. The code-distance
+keys kept per project are checked against the keys computed per suite.
 """
 
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -24,11 +26,13 @@ from oracles import (
     schulze_mix_oracle,
     strongest_paths_oracle,
 )
+from tcp_lab import approaches
 from tcp_lab.approaches import (
     CodeDistOrder,
     DistanceMetric,
     SourceVectors,
     StartPolicy,
+    _pairwise_keys,
     farthest_pair_start,
     tokenize,
 )
@@ -107,14 +111,47 @@ class TestCodeDistances:
                 assert key == expected
 
     @KERNEL_SETTINGS
+    @given(suites_with_sources(max_size=15), st.sampled_from(list(DistanceMetric)))
+    def test_kept_keys_equal_keys_over_the_suite(self, drawn, metric):
+        """Keys indexed out of the kept matrix are the keys over the suite's rows.
+
+        Over the memory bound no matrix is kept and the keys are computed over
+        the suite's rows. Both give the same bytes;
+        ``test_keys_match_scalar_distances`` checks their values.
+        """
+        suite, sources = drawn
+        kept = SourceVectors(sources)
+        keys = kept.distances(suite, metric)
+        with mock.patch.object(approaches, "_KEY_MATRIX_BYTES", 0):
+            over = SourceVectors(sources)
+            over_keys = over.distances(suite, metric)
+        assert (kept._keys.get(metric) is not None) is bool(sources)
+        assert over._keys.get(metric) is None
+        matrix = kept.matrix()
+        rows = [kept._rows.get(case, len(matrix) - 1) for case in suite]
+        expected = _pairwise_keys(matrix[rows], metric)
+        for got in (keys, over_keys):
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    @KERNEL_SETTINGS
     @given(
         suites_with_sources(),
         st.sampled_from(list(DistanceMetric)),
         st.sampled_from(list(StartPolicy)),
     )
+    # empty suites raise as the oracle does; source-less suites keep their order
+    @example(([], {}), DistanceMetric.EUCLIDEAN, StartPolicy.FARTHEST_PAIR)
+    @example(([], {"c0": "alpha"}), DistanceMetric.COSINE_DISTANCE, StartPolicy.FIRST_CASE)
+    @example((["c2", "c0", "c1"], {}), DistanceMetric.COSINE_DISTANCE, StartPolicy.FARTHEST_PAIR)
+    @example((["c2", "c0", "c1"], {"c9": "beta"}), DistanceMetric.MANHATTAN, StartPolicy.FIRST_CASE)
+    @example((["c2", "c0", "c1"], {"c0": ""}), DistanceMetric.EUCLIDEAN, StartPolicy.FARTHEST_PAIR)
     def test_chain_matches_oracle(self, drawn, metric, start):
         suite, sources = drawn
-        approach = CodeDistOrder(metric, start, sources)
+        # one SourceVectors keeps every metric's keys, as in a project's evaluate
+        vectors = SourceVectors(sources)
+        for other in DistanceMetric:
+            vectors.prepare(other)
+        approach = CodeDistOrder(metric, start, vectors)
         # a second, smaller cycle reuses the cached count matrix
         for cycle_suite in (suite, suite[1:]):
             assert outcome(approach.rank, cycle_suite) == outcome(
@@ -145,12 +182,23 @@ class TestFarthestPairStart:
         assert farthest_pair_start(suite, np.array(d, dtype=np.float64)) == expected
 
 
+@st.composite
+def rankings_with_sources(draw):
+    """A primary ranking of a suite, and the suite's sources."""
+    suite, sources = draw(suites_with_sources())
+    return draw(tie_rankings(suite, max_levels=draw(st.integers(1, 8)))), sources
+
+
 class TestBreakTiesCodeDist:
     @KERNEL_SETTINGS
-    @given(st.data(), suites_with_sources(), st.sampled_from(list(DistanceMetric)))
-    def test_matches_oracle(self, data, drawn, metric):
-        suite, sources = drawn
-        primary = data.draw(tie_rankings(suite, max_levels=data.draw(st.integers(1, 8))))
+    @given(rankings_with_sources(), st.sampled_from(list(DistanceMetric)))
+    # an empty primary, and primaries of which no case has a source
+    @example((RankedSuite(()), {}), DistanceMetric.EUCLIDEAN)
+    @example((RankedSuite((("b", "a"), ("c",))), {}), DistanceMetric.COSINE_DISTANCE)
+    @example((RankedSuite((("b",), ("c", "a"))), {"z": "alpha"}), DistanceMetric.MANHATTAN)
+    @example((RankedSuite((("b", "a"), ("c",))), {"c": ""}), DistanceMetric.EUCLIDEAN)
+    def test_matches_oracle(self, drawn, metric):
+        primary, sources = drawn
         out = break_ties_codedist(primary, SourceVectors(sources), metric)
         assert out == break_ties_codedist_oracle(primary, sources, metric)
 
