@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from tcp_lab.model import (
     Approach,
+    InputError,
     RankedSuite,
     TestCaseId,
     TestExecution,
@@ -247,6 +248,15 @@ _EXACT_SQUARED_NORM = 2**51
 _KEY_MATRIX_BYTES = 64 * 2**20
 
 
+class SourceTooLargeError(InputError):
+    """A source's token counts too large for exact code distances."""
+
+    code = "SOURCE_TOO_LARGE"
+
+    def __init__(self, case: TestCaseId):
+        super().__init__(f"{self.code}: source of {case!r} too large for exact code distances")
+
+
 class SourceVectors:
     """Tokenized vectors for a project's case sources, and their distance keys.
 
@@ -292,8 +302,9 @@ class SourceVectors:
             for row, (case, vector) in enumerate(zip(self._sources, vectors)):
                 self._rows[case] = row
                 counts[row, [columns[token] for token in vector]] = list(vector.values())
-            if (counts * counts).sum(axis=1).max() >= _EXACT_SQUARED_NORM:
-                raise ValueError("source text too large for exact code distances")
+            squared_norms = (counts * counts).sum(axis=1)
+            if squared_norms.max() >= _EXACT_SQUARED_NORM:
+                raise SourceTooLargeError(list(self._sources)[squared_norms.argmax()])
             self._counts = counts
         return self._counts
 

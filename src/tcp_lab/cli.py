@@ -14,7 +14,7 @@ keeps its traceback. The ``TCP_LAB_SEED`` environment variable overrides the
 master seed.
 
 Each command imports the modules it runs when it runs, so that no command
-pays for another's imports (numpy and scipy above all).
+pays for another's imports (numpy above all).
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ import hashlib
 import json
 import platform
 import random
+import sys
 import time
 from collections import Counter
 from contextlib import suppress
@@ -39,7 +40,13 @@ from typing import Iterator, Mapping, Sequence
 from tcp_lab import metrics as metrics_mod
 from tcp_lab.approaches import SourceVectors
 from tcp_lab.combinators import InvalidSpecError, build, spec_is_randomized
-from tcp_lab.dataset import attach_sources, filter_for_evaluation, read_canonical
+from tcp_lab.dataset import (
+    PARSE_ERROR,
+    DatasetError,
+    attach_sources,
+    filter_for_evaluation,
+    read_canonical,
+)
 from tcp_lab.metrics import (
     CycleTiming,
     CycleView,
@@ -64,6 +71,12 @@ ALL_METRICS = ("apfd", "apfd_c", "rapfd", "rapfd_c", "ntr", "atr")
 APFD_FAMILY = ("apfd", "apfd_c", "rapfd", "rapfd_c")
 
 DEFAULT_REPETITIONS = 10
+
+# Every metric sum stays finite while each cycle's total time times its suite
+# size (the APFD_C numerator and denominator) and the total time over all
+# cycles (NTR and ATR) stay under this; half the largest float leaves room for
+# the other summation orders and for the prioritization times.
+_MAX_TIME_SUM = sys.float_info.max / 2
 
 
 def derive_seed(*parts: object) -> int:
@@ -216,8 +229,22 @@ class ProjectOutcome:
 
 
 def _baseline(history: ProjectHistory) -> list[CycleView]:
-    """One view per cycle, shared by every approach and repetition."""
-    return [CycleView(cycle) for cycle in history.cycles]
+    """One view per cycle, shared by every approach and repetition.
+
+    A history whose durations the metrics cannot add up in floats is a
+    PARSE_ERROR naming its first such cycle; see ``_MAX_TIME_SUM``.
+    """
+    views = [CycleView(cycle) for cycle in history.cycles]
+    running = 0.0
+    for cycle, view in zip(history.cycles, views):
+        running += view.full_time
+        if not (view.full_time * len(view.suite) <= _MAX_TIME_SUM and running <= _MAX_TIME_SUM):
+            raise DatasetError(
+                PARSE_ERROR,
+                f"project {history.project!r}, cycle {cycle.index}: durations too large "
+                f"to sum (over {_MAX_TIME_SUM!r} s)",
+            )
+    return views
 
 
 def load_project_history(

@@ -98,6 +98,9 @@ def metric_tables(summary: Mapping) -> list[MetricTable]:
                 value = aggregates[project].get(approach, {}).get(key)
                 if not (value is None or type(value) in (int, float)):
                     raise ReportError(f"{project}/{approach}: {key} is not a number: {value!r}")
+                # json.loads reads NaN, Infinity and -Infinity as floats
+                if type(value) is float and not math.isfinite(value):
+                    raise ReportError(f"{project}/{approach}: {key} is not finite: {value!r}")
                 row.append(value)
                 any_value = any_value or value is not None
             cells.append(tuple(row))

@@ -7,6 +7,7 @@ import json
 import math
 import random
 import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -565,6 +566,53 @@ class TestEvaluateCommand:
         )
         assert sorted(p.name for p in run.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize(
+        "durations, failures, n_cycles, bad_cycle",
+        [
+            # the cycle total overflows
+            ({"a": 1e308, "b": 1e308, "c": 1.0}, "a", 2, 1),
+            # the total is under half the largest float, but the APFD_C
+            # numerator (about 3 x total) and denominator (6 x total) overflow
+            (dict.fromkeys("abcdef", 1.4e307), "abcdef", 2, 1),
+            # each cycle is fine, the sums over cycles in NTR and ATR overflow
+            ({"a": 2e307, "b": 2e307}, "a", 10, 3),
+        ],
+        ids=["cycle_total", "suite_times_total", "across_cycles"],
+    )
+    def test_durations_too_large_to_sum_fail_the_project(
+        self, tmp_path, capsys, durations, failures, n_cycles, bad_cycle
+    ):
+        # cycle 0 holds ordinary durations, each later cycle the large ones
+        huge = ProjectHistory(
+            "huge",
+            tuple(
+                cycle(i, list(durations), failures, durations if i else None)
+                for i in range(n_cycles)
+            ),
+        )
+        write_canonical(huge, tmp_path / "huge.csv")
+        config = write_config(
+            tmp_path,
+            [{"name": "huge", "history": "huge.csv"}],
+            {"base": {"type": "base_order"}},
+            metrics=["apfd_c", "ntr", "atr"],
+        )
+        out = tmp_path / "out"
+        assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 1
+        message = (
+            f"PARSE_ERROR: project 'huge', cycle {bad_cycle}: durations too large to sum "
+            f"(over {sys.float_info.max / 2!r} s)"
+        )
+        assert f"huge: FAILED ({message})\n" in capsys.readouterr().err
+
+        def reject(constant):
+            raise AssertionError(f"summary.json holds {constant}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert summary["projects"]["huge"]["status"] == "error"
+        assert summary["projects"]["huge"]["error"] == message
+        assert not (out / "raw" / "huge").exists()
+
     def test_summary_aggregates_follow_from_raw_and_timing(self, tmp_path):
         noisy = make_history_file(tmp_path, "noisy", seed=31, n_cycles=12, build_time=0.0)
         # no failed cycle: no APFD-family value and no NTR
@@ -786,6 +834,33 @@ class TestReportCommand:
         assert main(["report", "--raw", str(raw), "--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_aggregate_exits_2(self, tmp_path, capsys, value):
+        summary = {
+            "projects": {
+                f"p{i}": {
+                    "status": "ok",
+                    "approaches": {
+                        a: {"aggregates": {"rapfd_c_mean": 0.1 * i + 0.01 * j}}
+                        for j, a in enumerate(["a", "b"])
+                    },
+                }
+                for i in range(3)
+            }
+        }
+        summary["projects"]["p1"]["approaches"]["b"]["aggregates"]["rapfd_c_mean"] = float(value)
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        # json.dumps writes NaN, Infinity and -Infinity, which json.loads reads
+        text = json.dumps(summary)
+        assert value in text
+        (raw / "summary.json").write_text(text, encoding="utf-8")
+        assert main(["report", "--raw", str(raw), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: p1/b: rapfd_c_mean is not finite: {float(value)!r}\n"
+        )
+        assert not any((tmp_path / "r").iterdir())
+
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-1", "0", "1", "2"])
     def test_alpha_outside_open_unit_interval_exits_2(self, tmp_path, capsys, alpha):
         out = self.evaluated_dir(tmp_path)
@@ -971,6 +1046,21 @@ class TestPrioritizeCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: suite of 3 cases exceeds the Schulze cap of 2\n"
+
+    def test_source_too_large_for_exact_distances_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a 5000-token source over a bound of 1000 stands in for one over 2**51
+        # (about 2**25.5 repeats of one token)
+        monkeypatch.setattr("tcp_lab.approaches._EXACT_SQUARED_NORM", 1000)
+        checkout = tmp_path / "checkout"
+        checkout.mkdir()
+        (checkout / "a.java").write_text("class A {}", encoding="utf-8")
+        (checkout / "b.java").write_text("x " * 5000, encoding="utf-8")
+        argv = ["prioritize", "--history", str(self.history_path(tmp_path)), "--preset", "P3.2"]
+        assert main(argv + ["--cycle", "1", "--sources", str(checkout)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: SOURCE_TOO_LARGE: source of 'b' too large for exact code distances\n",
+        )
 
     def test_unknown_preset_exits_2(self, tmp_path, capsys):
         code = main(

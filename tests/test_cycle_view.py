@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -35,7 +36,7 @@ from oracles import (
 )
 from synth import cycle, example_sources, shipped_approach_specs
 from tcp_lab import approaches, combinators, evaluation, metrics
-from tcp_lab.dataset import write_canonical
+from tcp_lab.dataset import DatasetError, write_canonical
 from tcp_lab.evaluation import ALL_METRICS, EvaluationConfig, ProjectConfig, evaluate_project
 from tcp_lab.model import (
     DUPLICATE_CASE,
@@ -159,16 +160,21 @@ def test_harness_matches_old_cycle_loop(name, policy, history, seed, metric_name
     assert repr(new) == repr(old)  # repr tells -0.0 from 0.0, as raw/ does
 
 
-def test_harness_matches_old_loop_on_infinite_duration():
-    # the rectified value is not finite: both paths fail with the same error
+def test_harness_rejects_infinite_duration_where_old_loop_fails():
+    # the old loop fails on the rectified value, which is not finite; the
+    # harness rejects the history before any replay, naming the cycle
     history = ProjectHistory(
         "inf",
         (cycle(0, ["a", "b"], failures=["a"], durations={"a": math.inf, "b": 1.0}),),
     )
     config = EvaluationConfig((), {"base": "P3.1"}, metric_names=ALL_METRICS)
     new, old = replay_both(history, "base", "P3.1", config)
-    assert repr(new) == repr(old)
-    assert new[0] is ValueError
+    assert old == (ValueError, "cannot rectify nan between nan and nan: not finite")
+    assert new == (
+        DatasetError,
+        f"PARSE_ERROR: project 'inf', cycle 0: durations too large to sum "
+        f"(over {sys.float_info.max / 2!r} s)",
+    )
 
 
 @st.composite

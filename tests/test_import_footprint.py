@@ -14,8 +14,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from scipy.special import chdtrc
 
 from synth import random_history
+from test_stats import TEMME_RELATIVE_BOUND, in_temme_band
 from tcp_lab.dataset import write_canonical
 from tcp_lab.report import TABLE_METRICS, _aggregate_key
 
@@ -69,10 +71,8 @@ def test_prioritize_loads_no_evaluation_metrics_or_report(tmp_path):
     assert not loaded & {"tcp_lab.evaluation", "tcp_lab.metrics", "tcp_lab.report"}
 
 
-# Up to 41 approaches (a chi-square with at most 40 degrees of freedom) the
-# Friedman p-value never needs scipy's asymptotic branch.
-@pytest.mark.parametrize("n_approaches", [15, 41])
-def test_report_loads_neither_numpy_nor_scipy(tmp_path, n_approaches):
+def write_summary(raw: Path, n_approaches: int) -> None:
+    """A summary.json of 6 projects with random aggregates."""
     rng = random.Random(n_approaches)
     approaches = [f"A{j:02d}" for j in range(n_approaches)]
     summary = {
@@ -91,11 +91,32 @@ def test_report_loads_neither_numpy_nor_scipy(tmp_path, n_approaches):
             for i in range(6)
         }
     }
-    raw = tmp_path / "raw"
     raw.mkdir()
     (raw / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
-    argv = ["report", "--raw", str(raw), "--format", "md", "--out", str(tmp_path / "r")]
+
+
+# From 42 approaches on (a chi-square with more than 40 degrees of freedom)
+# the Friedman p-value falls in Temme's regime, where scipy's chdtrc takes an
+# asymptotic expansion and stats._chdtrc its series or continued fraction.
+@pytest.mark.parametrize("n_approaches", [15, 41, 42, 120])
+def test_report_loads_neither_numpy_nor_scipy(tmp_path, n_approaches):
+    write_summary(tmp_path / "raw", n_approaches)
+    argv = ["report", "--raw", str(tmp_path / "raw"), "--format", "md", "--out", str(tmp_path / "r")]
     loaded = modules_after(run_main(argv))
     assert "numpy" not in loaded
     assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
     assert (tmp_path / "r" / "cd_apfd.csv").is_file()
+
+
+def test_report_runs_where_scipy_cannot_be_imported(tmp_path):
+    write_summary(tmp_path / "raw", 120)
+    argv = ["report", "--raw", str(tmp_path / "raw"), "--format", "md", "--out", str(tmp_path / "r")]
+    # a None entry makes every ``import scipy...`` raise ImportError
+    modules_after('sys.modules["scipy"] = None\n' + run_main(argv))
+    blocks = json.loads((tmp_path / "r" / "stats.json").read_text(encoding="utf-8"))
+    points = [(119, block["friedman_statistic"], block["friedman_p"]) for block in blocks.values()]
+    assert len(points) == len(TABLE_METRICS)
+    assert any(in_temme_band(df, x) for df, x, _ in points)
+    for df, x, p in points:
+        expected = float(chdtrc(df, x))
+        assert abs(p - expected) <= TEMME_RELATIVE_BOUND * expected

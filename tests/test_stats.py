@@ -337,6 +337,16 @@ class TestCdGroupingInvariance:
 
 # --- the chi-square tail against scipy.special.chdtrc -----------------------
 
+# README's bound on the relative error of friedman_p in Temme's regime
+TEMME_RELATIVE_BOUND = 1e-13
+
+
+def in_temme_band(df, x):
+    """Whether cephes' igamc(df / 2, x / 2) takes Temme's expansion."""
+    a = df / 2
+    ratio = abs(x / 2 - a) / a
+    return (20 < a < 200 and ratio < 0.3) or (a > 200 and ratio < 4.5 / math.sqrt(a))
+
 
 @st.composite
 def chi_square_points(draw):
@@ -344,18 +354,13 @@ def chi_square_points(draw):
     # the branch boundaries at x / 2 of 0.5 and 1.1 matter most for small a
     df = draw(st.one_of(st.integers(1, 4), st.integers(1, 1000)))
     a = df / 2
-    branch = draw(
-        st.sampled_from(["small", "middle", "below_a", "above_a", "temme", "log1pmx"])
-    )
+    branch = draw(st.sampled_from(["small", "middle", "below_a", "above_a", "log1pmx"]))
     if branch == "small":  # the series in x or in a, by -0.4 / log(x) < a
         half = draw(st.floats(0, 0.5, exclude_min=True))
     elif branch == "middle":
         half = draw(st.floats(0.5, 1.1, exclude_min=True))
     elif branch == "below_a" and a > 1.2:  # igam's series
         half = draw(st.floats(1.1, a, exclude_min=True, exclude_max=True))
-    elif branch == "temme" and a > 20:  # delegated to scipy
-        width = min(0.3, 4.5 / math.sqrt(a))
-        half = a * (1 + draw(st.floats(-width, width, exclude_min=True, exclude_max=True)))
     elif branch == "log1pmx":  # Lanczos factor with x or a of 200 and more
         df = draw(st.integers(400, 1000))
         a = df / 2
@@ -366,12 +371,31 @@ def chi_square_points(draw):
     return df, 2 * half
 
 
+@st.composite
+def temme_points(draw):
+    """(df, x) of a Friedman test over 42 to 5000 approaches in Temme's band."""
+    df = draw(st.one_of(st.integers(42, 401), st.integers(42, 5000))) - 1
+    a = df / 2
+    width = 0.3 if a < 200 else 4.5 / math.sqrt(a)
+    half = a * (1 + draw(st.floats(-width, width, exclude_min=True, exclude_max=True)))
+    return df, 2 * half
+
+
 class TestChiSquareTail:
     @settings(max_examples=3000, deadline=None)
-    @given(chi_square_points())
+    @given(chi_square_points().filter(lambda point: not in_temme_band(*point)))
     def test_equals_scipy_bit_for_bit(self, point):
         df, x = point
         assert repr(stats._chdtrc(df, x)) == repr(float(chdtrc(df, x)))
+
+    @settings(max_examples=3000, deadline=None)
+    @given(temme_points().filter(lambda point: in_temme_band(*point)))
+    def test_temme_band_within_bound_of_scipy(self, point):
+        # scipy runs Temme's expansion here, _chdtrc its series or continued
+        # fraction
+        df, x = point
+        expected = float(chdtrc(df, x))
+        assert abs(stats._chdtrc(df, x) - expected) <= TEMME_RELATIVE_BOUND * expected
 
     @pytest.mark.parametrize("df", [1, 2, 41, 1000])
     @pytest.mark.parametrize("x", [0.0, 5e-324, 1e-300, 1e308])
