@@ -25,7 +25,14 @@ import os
 import sys
 from pathlib import Path
 
-from tcp_lab.model import ConfigError, FlattenPolicy, InputError, flatten, read_json
+from tcp_lab.model import (
+    ConfigError,
+    FlattenPolicy,
+    InputError,
+    ProjectHistory,
+    flatten,
+    read_json,
+)
 
 SEED_ENV_VAR = "TCP_LAB_SEED"
 
@@ -110,12 +117,15 @@ def _cmd_prioritize(args: argparse.Namespace) -> int:
 
     spec = args.preset if args.spec is None else read_json(args.spec)
     history = read_canonical(args.history)
+    target = next((i for i, c in enumerate(history.cycles) if c.index == args.cycle), None)
+    sources = {}
     if args.sources:
-        history = attach_sources(history, args.sources)
+        # the one ranked suite reads only its own cases' sources
+        ranked = history.cycles[target : target + 1] if target is not None else ()
+        sources = attach_sources(ProjectHistory(history.project, ranked), args.sources).sources
     env_seed = _env_seed()
     seed = args.seed if args.seed is not None else (env_seed if env_seed is not None else 0)
-    approach = build(spec, sources=history.sources, master_seed=seed)
-    target = next((i for i, c in enumerate(history.cycles) if c.index == args.cycle), None)
+    approach = build(spec, sources=sources, master_seed=seed)
     if target is None:
         raise ConfigError(f"UNKNOWN_CYCLE: no cycle with index {args.cycle}")
     for cycle in history.cycles[:target]:

@@ -48,7 +48,6 @@ from tcp_lab.dataset import (
     read_canonical,
 )
 from tcp_lab.metrics import (
-    CycleTiming,
     CycleView,
     DegenerateBoundsError,
     MetricError,
@@ -298,7 +297,7 @@ def evaluate_approach(
             rows.append(
                 CycleRow(rep, cycle.index, len(view.suite), view.fault_count, values, ff, full)
             )
-            tt = testing_time(CycleTiming(prioritization, view.build, ff, full))
+            tt = testing_time(prioritization, view.build, ff, full)
             timing_rows.append(
                 TimingRow(rep, cycle.index, prioritization, view.build, tt, view.tt)
             )

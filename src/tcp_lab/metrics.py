@@ -12,10 +12,11 @@ ordering and 0 the worst; cycles whose bounds coincide (single test, or
 every test failing with equal costs) are degenerate and excluded from
 aggregation by callers.
 
-One implementation: :class:`CycleView` holds a cycle's order-independent
-facts and turns an order into an index permutation once; the
-:class:`ScoredOrder` it returns yields every APFD-family value, and the
-public functions below are thin wrappers over the two.
+One way to score an order: :class:`CycleView` holds a cycle's
+order-independent facts (and the exact bounds) and turns an order into an
+index permutation once; the :class:`ScoredOrder` that
+``CycleView(cycle).score(order)`` returns yields every APFD-family value.
+:func:`testing_time` is the one computation of a cycle's testing time.
 
 Accumulation rule: a value summed with builtin ``sum`` stays summed with
 ``sum`` and a value accumulated left to right (a loop, ``reduce`` or
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, compress, count
 from operator import add
@@ -96,9 +96,7 @@ class CycleView:
         baseline = self._scored(range(len(self.suite)))
         self.first_fault_time = baseline.first_fault_time
         self.full_time = baseline.full_time
-        self.tt = testing_time(
-            CycleTiming(0.0, self.build, self.first_fault_time, self.full_time)
-        )
+        self.tt = testing_time(0.0, self.build, self.first_fault_time, self.full_time)
 
     def score(self, order: Sequence[TestCaseId]) -> ScoredOrder:
         """Evaluate ``order``, which must hold each case of the suite once."""
@@ -200,48 +198,22 @@ class ScoredOrder:
     def rapfd_c(self) -> float:
         return _rectify(self.apfd_c, self.view.apfd_c_bounds)
 
+    def napfd(self, executed_prefix_length: int) -> float:
+        """Constrained-execution variant; faults outside the prefix go undetected.
 
-def apfd(order: Sequence[TestCaseId], cycle: CycleRecord) -> float:
-    """Average percentage of faults detected for one evaluated order."""
-    return CycleView(cycle).score(order).apfd
-
-
-def apfd_c(order: Sequence[TestCaseId], cycle: CycleRecord) -> float:
-    """Cost-cognizant variant weighting by execution times (equal severities)."""
-    return CycleView(cycle).score(order).apfd_c
-
-
-def napfd(
-    order: Sequence[TestCaseId],
-    cycle: CycleRecord,
-    executed_prefix_length: int,
-) -> float:
-    """Constrained-execution variant; faults outside the prefix go undetected.
-
-    The detected fraction scales the value and undetected fault ranks count
-    as zero. The suite size stays the full ``n`` under the prefix constraint.
-    """
-    scored = CycleView(cycle).score(order)
-    ranks = scored.ranks
-    if not ranks:
-        raise NoFaultsError("cycle has no failing executions")
-    n = len(scored.durations)
-    if not 0 <= executed_prefix_length <= n:
-        raise ValueError("executed prefix must be between 0 and the suite size")
-    m = len(ranks)
-    detected = [r for r in ranks if r <= executed_prefix_length]
-    p = len(detected) / m
-    return p - sum(detected) / (n * m) + p / (2 * n)
-
-
-def apfd_bounds(cycle: CycleRecord) -> tuple[float, float]:
-    """Exact (min, max) APFD over all permutations; see :class:`CycleView`."""
-    return CycleView(cycle).apfd_bounds
-
-
-def apfd_c_bounds(cycle: CycleRecord) -> tuple[float, float]:
-    """Exact (min, max) APFD_C over all permutations; see :class:`CycleView`."""
-    return CycleView(cycle).apfd_c_bounds
+        The detected fraction scales the value and undetected fault ranks count
+        as zero. The suite size stays the full ``n`` under the prefix constraint.
+        """
+        ranks = self.ranks
+        if not ranks:
+            raise NoFaultsError("cycle has no failing executions")
+        n = len(self.durations)
+        if not 0 <= executed_prefix_length <= n:
+            raise ValueError("executed prefix must be between 0 and the suite size")
+        m = len(ranks)
+        detected = [r for r in ranks if r <= executed_prefix_length]
+        p = len(detected) / m
+        return p - sum(detected) / (n * m) + p / (2 * n)
 
 
 def _rectify(value: float, bounds: tuple[float, float]) -> float:
@@ -253,16 +225,6 @@ def _rectify(value: float, bounds: tuple[float, float]) -> float:
         raise DegenerateBoundsError("metric bounds coincide for this cycle")
     rectified = (value - low) / (high - low)
     return min(1.0, max(0.0, rectified))
-
-
-def rapfd(order: Sequence[TestCaseId], cycle: CycleRecord) -> float:
-    """Min-max rectified fault-detection metric, 1 for optimal and 0 for worst."""
-    return CycleView(cycle).score(order).rapfd
-
-
-def rapfd_c(order: Sequence[TestCaseId], cycle: CycleRecord) -> float:
-    """Min-max rectified cost-cognizant metric, 1 for optimal and 0 for worst."""
-    return CycleView(cycle).score(order).rapfd_c
 
 
 def ntr(pairs: Sequence[tuple[float, float]]) -> float:
@@ -283,9 +245,14 @@ def ntr(pairs: Sequence[tuple[float, float]]) -> float:
     return saved / total_full
 
 
-@dataclass(frozen=True)
-class CycleTiming:
-    """Durations making up one cycle's testing time.
+def testing_time(
+    prioritization: float,
+    build: float,
+    first_fault: float | None,
+    full_execution: float,
+) -> float:
+    """Total testing time of a cycle: unhidden prioritization overhead plus
+    execution until the first fault (or the whole suite when none fails).
 
     ``prioritization`` is the wall-clock cost of ranking (zero when no
     prioritization runs), ``build`` the compilation/static-analysis time the
@@ -293,33 +260,20 @@ class CycleTiming:
     first failing test (None on passing cycles), and ``full_execution`` the
     time to run the whole suite.
     """
-
-    prioritization: float
-    build: float
-    first_fault: float | None
-    full_execution: float
-
-    def __post_init__(self) -> None:
-        for name in ("prioritization", "build", "full_execution"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.first_fault is not None:
-            if self.first_fault < 0:
-                raise ValueError("first_fault must be >= 0")
-            if self.first_fault > self.full_execution:
-                raise ValueError("first_fault cannot exceed full_execution")
-
-
-def testing_time(timing: CycleTiming) -> float:
-    """Total testing time of a cycle: unhidden prioritization overhead plus
-    execution until the first fault (or the whole suite when none fails)."""
-    overhead = max(timing.prioritization - timing.build, 0.0)
-    spent = (
-        timing.first_fault
-        if timing.first_fault is not None
-        else timing.full_execution
-    )
-    return overhead + spent
+    for name, value in (
+        ("prioritization", prioritization),
+        ("build", build),
+        ("full_execution", full_execution),
+    ):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0")
+    if first_fault is not None:
+        if first_fault < 0:
+            raise ValueError("first_fault must be >= 0")
+        if first_fault > full_execution:
+            raise ValueError("first_fault cannot exceed full_execution")
+    overhead = max(prioritization - build, 0.0)
+    return overhead + (first_fault if first_fault is not None else full_execution)
 
 
 def atr(approach_tt: Sequence[float], baseline_tt: Sequence[float]) -> float:

@@ -101,6 +101,14 @@ def metric_tables(summary: Mapping) -> list[MetricTable]:
                 # json.loads reads NaN, Infinity and -Infinity as floats
                 if type(value) is float and not math.isfinite(value):
                     raise ReportError(f"{project}/{approach}: {key} is not finite: {value!r}")
+                # and a long integer literal as an int of any size
+                if type(value) is int:
+                    try:
+                        float(value)
+                    except OverflowError:
+                        raise ReportError(
+                            f"{project}/{approach}: {key} is too large for a float"
+                        ) from None
                 row.append(value)
                 any_value = any_value or value is not None
             cells.append(tuple(row))

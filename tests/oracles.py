@@ -76,7 +76,6 @@ from tcp_lab.evaluation import (
     derive_seed,
 )
 from tcp_lab.metrics import (
-    CycleTiming,
     DegenerateBoundsError,
     MetricError,
     NoFaultsError,
@@ -596,7 +595,7 @@ def evaluate_approach_oracle(
         first_fault, full = _first_fault_and_full([e.case for e in cycle.executions], cycle)
         build_s = cycle.build_time if cycle.build_time is not None else 0.0
         baseline.append(
-            (build_s, testing_time(CycleTiming(0.0, build_s, first_fault, full)))
+            (build_s, testing_time(0.0, build_s, first_fault, full))
         )
     repetitions = config.repetitions if spec_is_randomized(spec) else 1
     wanted = config.metric_names
@@ -636,7 +635,7 @@ def evaluate_approach_oracle(
             rows.append(
                 CycleRow(rep, cycle.index, len(suite), fault_count, values, first_fault, full)
             )
-            tt = testing_time(CycleTiming(prioritization, build_s, first_fault, full))
+            tt = testing_time(prioritization, build_s, first_fault, full)
             rep_tts.append(tt)
             rep_pt += prioritization
             timing_rows.append(TimingRow(rep, cycle.index, prioritization, build_s, tt, base_tt))

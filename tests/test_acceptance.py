@@ -25,18 +25,7 @@ from tcp_lab.combinators import (
     schulze_mix,
     strongest_paths,
 )
-from tcp_lab.metrics import (
-    CycleTiming,
-    apfd,
-    apfd_bounds,
-    apfd_c,
-    apfd_c_bounds,
-    atr,
-    napfd,
-    ntr,
-    rapfd_c,
-    testing_time as compute_testing_time,
-)
+from tcp_lab.metrics import CycleView, atr, ntr, testing_time as compute_testing_time
 from tcp_lab.model import FlattenPolicy, RankedSuite, flatten, validate_ranking
 from tcp_lab.stats import ScoreMatrix, friedman, holm_adjust, wilcoxon_signed_rank
 
@@ -93,18 +82,20 @@ class TestAcceptance:
                 enumerations.append(values)
                 apfd_values = [v for _, v, _ in values]
                 apfd_c_values = [v for _, _, v in values]
-                low, high = apfd_bounds(record)
+                view = CycleView(record)
+                low, high = view.apfd_bounds
                 assert abs(low - min(apfd_values)) <= 1e-9
                 assert abs(high - max(apfd_values)) <= 1e-9
-                low_c, high_c = apfd_c_bounds(record)
+                low_c, high_c = view.apfd_c_bounds
                 assert abs(low_c - min(apfd_c_values)) <= 1e-9
                 assert abs(high_c - max(apfd_c_values)) <= 1e-9
             elapsed = time.perf_counter() - started
             assert elapsed < 30.0, f"bounds oracle took {elapsed:.1f}s"
         with criterion("criterion 2 (rAPFD/rAPFD_C monotonicity, zero inversions)"):
             for record, values in zip(cycles, enumerations):
-                low, high = apfd_bounds(record)
-                low_c, high_c = apfd_c_bounds(record)
+                view = CycleView(record)
+                low, high = view.apfd_bounds
+                low_c, high_c = view.apfd_c_bounds
                 apfd_values = [v for _, v, _ in values]
                 apfd_c_values = [v for _, _, v in values]
                 if high - low > 1e-12:
@@ -118,7 +109,7 @@ class TestAcceptance:
                     for perm, _, value in values[:: max(1, len(values) // 3)]:
                         order = [e.case for e in perm]
                         expected = min(1.0, max(0.0, (value - low_c) / (high_c - low_c)))
-                        assert abs(rapfd_c(order, record) - expected) <= 1e-12
+                        assert abs(view.score(order).rapfd_c - expected) <= 1e-12
 
     def test_criterion_3_voting_oracles(self):
         rng = random.Random(31337)
@@ -235,19 +226,19 @@ class TestAcceptance:
         with criterion("criterion 6 (hand-derived metric spot values, 1e-12)"):
             tol = 1e-12
             four = cycle(0, ["a", "b", "c", "d"], failures=["b", "c"])
-            assert apfd(["a", "b", "c", "d"], four) == pytest.approx(0.5, abs=tol)
+            assert CycleView(four).score(["a", "b", "c", "d"]).apfd == pytest.approx(0.5, abs=tol)
             first_two = cycle(0, ["a", "b", "c", "d"], failures=["a", "b"])
-            assert apfd(["a", "b", "c", "d"], first_two) == pytest.approx(0.75, abs=tol)
+            assert CycleView(first_two).score(["a", "b", "c", "d"]).apfd == pytest.approx(0.75, abs=tol)
             timed = cycle(0, ["f", "p"], failures=["f"], durations={"f": 2, "p": 2})
-            assert apfd_c(["f", "p"], timed) == pytest.approx(0.75, abs=tol)
-            assert apfd_c(["p", "f"], timed) == pytest.approx(0.25, abs=tol)
+            assert CycleView(timed).score(["f", "p"]).apfd_c == pytest.approx(0.75, abs=tol)
+            assert CycleView(timed).score(["p", "f"]).apfd_c == pytest.approx(0.25, abs=tol)
             constrained = cycle(0, ["a", "b", "c", "d"], failures=["a", "d"])
-            assert napfd(["a", "b", "c", "d"], constrained, 2) == pytest.approx(
+            assert CycleView(constrained).score(["a", "b", "c", "d"]).napfd(2) == pytest.approx(
                 0.4375, abs=tol
             )
             assert ntr([(10, 2), (20, 5)]) == pytest.approx(23 / 30, abs=tol)
-            assert compute_testing_time(CycleTiming(3, 5, 4, 9)) == pytest.approx(4.0, abs=tol)
-            assert compute_testing_time(CycleTiming(7, 5, None, 10)) == pytest.approx(
+            assert compute_testing_time(3, 5, 4, 9) == pytest.approx(4.0, abs=tol)
+            assert compute_testing_time(7, 5, None, 10) == pytest.approx(
                 12.0, abs=tol
             )
             assert atr([1, 3], [4, 6]) == pytest.approx(0.6, abs=tol)

@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synth import cycle, random_history
+from synth import cycle, example_sources, random_history
 from tcp_lab import evaluation
 from tcp_lab.cli import main
-from tcp_lab.dataset import read_canonical, write_canonical
-from tcp_lab.model import Approach, ProjectHistory, RankedSuite
+from tcp_lab.combinators import build
+from tcp_lab.dataset import attach_sources, read_canonical, write_canonical
+from tcp_lab.model import Approach, FlattenPolicy, ProjectHistory, RankedSuite, flatten
 from tcp_lab.report import (
     MetricTable,
     _percentile,
@@ -834,8 +835,8 @@ class TestReportCommand:
         assert main(["report", "--raw", str(raw), "--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
-    def test_non_finite_aggregate_exits_2(self, tmp_path, capsys, value):
+    def summary_with(self, tmp_path, value):
+        """A raw directory whose 3-project summary has ``value`` as p1/b's rapfd_c_mean."""
         summary = {
             "projects": {
                 f"p{i}": {
@@ -848,18 +849,37 @@ class TestReportCommand:
                 for i in range(3)
             }
         }
-        summary["projects"]["p1"]["approaches"]["b"]["aggregates"]["rapfd_c_mean"] = float(value)
+        summary["projects"]["p1"]["approaches"]["b"]["aggregates"]["rapfd_c_mean"] = value
         raw = tmp_path / "raw"
         raw.mkdir()
+        (raw / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
+        return raw
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_aggregate_exits_2(self, tmp_path, capsys, value):
+        raw = self.summary_with(tmp_path, float(value))
         # json.dumps writes NaN, Infinity and -Infinity, which json.loads reads
-        text = json.dumps(summary)
-        assert value in text
-        (raw / "summary.json").write_text(text, encoding="utf-8")
+        assert value in (raw / "summary.json").read_text(encoding="utf-8")
         assert main(["report", "--raw", str(raw), "--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err == (
             f"error: p1/b: rapfd_c_mean is not finite: {float(value)!r}\n"
         )
         assert not any((tmp_path / "r").iterdir())
+
+    @pytest.mark.parametrize("fmt", ["md", "csv"])
+    def test_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys, fmt):
+        # json.loads reads a long integer literal as an int of any size
+        raw = self.summary_with(tmp_path, 10**400)
+        argv = ["report", "--raw", str(raw), "--out", str(tmp_path / "r"), "--format", fmt]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: p1/b: rapfd_c_mean is too large for a float\n"
+        assert not any((tmp_path / "r").iterdir())
+
+    @pytest.mark.parametrize("fmt", ["md", "csv"])
+    def test_largest_float_as_an_integer_is_reported(self, tmp_path, fmt):
+        raw = self.summary_with(tmp_path, int(sys.float_info.max))
+        argv = ["report", "--raw", str(raw), "--out", str(tmp_path / "r"), "--format", fmt]
+        assert main(argv) == 0
 
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-1", "0", "1", "2"])
     def test_alpha_outside_open_unit_interval_exits_2(self, tmp_path, capsys, alpha):
@@ -1061,6 +1081,67 @@ class TestPrioritizeCommand:
             "",
             "error: SOURCE_TOO_LARGE: source of 'b' too large for exact code distances\n",
         )
+
+    def test_source_too_large_outside_the_target_suite_is_not_read(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("tcp_lab.approaches._EXACT_SQUARED_NORM", 1000)
+        history = ProjectHistory(
+            "p",
+            (
+                cycle(0, ["a", "big"], failures=["a"], durations={"a": 1, "big": 2}),
+                cycle(1, ["a", "b"], durations={"a": 1, "b": 2}),
+            ),
+        )
+        path = tmp_path / "h.csv"
+        write_canonical(history, path)
+        checkout = tmp_path / "checkout"
+        checkout.mkdir()
+        (checkout / "a.java").write_text("class A {}", encoding="utf-8")
+        (checkout / "b.java").write_text("class B { b b }", encoding="utf-8")
+        (checkout / "big.java").write_text("x " * 5000, encoding="utf-8")
+        argv = ["prioritize", "--history", str(path), "--preset", "P3.2"]
+        argv += ["--sources", str(checkout)]
+        assert main(argv + ["--cycle", "1"]) == 0
+        assert capsys.readouterr() == ("a\nb\n", "")
+        assert main(argv + ["--cycle", "0"]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: SOURCE_TOO_LARGE: source of 'big' too large for exact code distances\n",
+        )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "P3.2",
+            {"type": "code_dist", "metric": "cosine", "start": "first_case"},
+            {"type": "code_dist", "metric": "manhattan"},
+        ],
+        ids=["P3.2", "cosine", "manhattan"],
+    )
+    def test_code_distance_order_matches_a_build_over_all_sources(
+        self, tmp_path, capsys, spec
+    ):
+        history = random_history(random.Random(11), n_cycles=6, pool_size=12)
+        path = tmp_path / "h.csv"
+        write_canonical(history, path)
+        checkout = tmp_path / "checkout"
+        checkout.mkdir()
+        for case, text in example_sources(f"t{i:02d}" for i in range(12)).items():
+            (checkout / f"{case}.java").write_text(text, encoding="utf-8")
+        every_source = attach_sources(history, checkout).sources
+        argv = ["prioritize", "--history", str(path), "--sources", str(checkout)]
+        argv += ["--spec", str(self.spec_file(tmp_path, spec))]
+        # a suite that misses sourced cases is what the target-only sources change
+        assert any(set(record.suite) < set(every_source) for record in history.cycles)
+        for target, record in enumerate(history.cycles):
+            approach = build(spec, sources=every_source, master_seed=0)
+            for previous in history.cycles[:target]:
+                approach.observe(previous.executions)
+            ranking = approach.rank(list(record.suite))
+            expected = "".join(f"{case}\n" for case in flatten(ranking, FlattenPolicy.STABLE))
+            assert main(argv + ["--cycle", str(record.index)]) == 0
+            assert capsys.readouterr() == (expected, "")
 
     def test_unknown_preset_exits_2(self, tmp_path, capsys):
         code = main(

@@ -2,7 +2,7 @@
 
 Each property compares the library with the earlier implementation kept in
 ``oracles.py``: the replay harness (one dict per cycle and metric, bounds
-recomputed per call), every APFD-family metric and bound, ``napfd``,
+recomputed per call), every APFD-family metric and bound, ``ScoredOrder.napfd``,
 ``ranked_from_scores``, ``flatten`` and ``random_mix``. Equality is exact:
 the same floats, the same exceptions, the same exclusion counts. One more
 property holds the view to itself: renaming the cases one-to-one changes
@@ -197,15 +197,17 @@ def result_of(function, *args):
 def test_metrics_match_old_path(case, prefix):
     record, order = case
     for name, oracle in METRIC_ORACLES.items():
-        assert repr(result_of(getattr(metrics, name), order, record)) == repr(
+        scored = metrics.CycleView(record).score(order)
+        assert repr(result_of(getattr, scored, name)) == repr(
             result_of(oracle, order, record)
         ), name
-    for function, oracle in (
-        (metrics.apfd_bounds, apfd_bounds_oracle),
-        (metrics.apfd_c_bounds, apfd_c_bounds_oracle),
+    view = metrics.CycleView(record)
+    for name, oracle in (
+        ("apfd_bounds", apfd_bounds_oracle),
+        ("apfd_c_bounds", apfd_c_bounds_oracle),
     ):
-        assert repr(result_of(function, record)) == repr(result_of(oracle, record))
-    assert repr(result_of(metrics.napfd, order, record, prefix)) == repr(
+        assert repr(result_of(getattr, view, name)) == repr(result_of(oracle, record))
+    assert repr(result_of(view.score(order).napfd, prefix)) == repr(
         result_of(napfd_oracle, order, record, prefix)
     )
 
@@ -232,7 +234,7 @@ def test_non_permutations_rejected_like_old_path(case, data):
     assert result_of(view.score, broken) == expected
     for name, oracle in METRIC_ORACLES.items():
         assert result_of(oracle, broken, record)[0] is ValueError
-        assert result_of(getattr(metrics, name), broken, record) == expected
+        assert result_of(lambda: getattr(view.score(broken), name)) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -264,7 +266,7 @@ def test_renaming_cases_changes_no_metric(case, data, prefix):
             scored.full_time,
             [result_of(getattr, scored, name) for name in names],
             [result_of(getattr, view, name) for name in ("apfd_bounds", "apfd_c_bounds")],
-            result_of(metrics.napfd, order, record, prefix),
+            result_of(scored.napfd, prefix),
         )
 
     assert repr(values(renamed, renamed_order)) == repr(values(record, order))

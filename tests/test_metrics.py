@@ -9,23 +9,16 @@ import pytest
 from oracles import apfd_c_of, apfd_of, exhaustive_extrema
 from synth import cycle
 from tcp_lab.metrics import (
-    CycleTiming,
+    CycleView,
     DegenerateBoundsError,
     NoDataError,
     NoFailingCyclesError,
     NoFaultsError,
     ZeroBaselineTimeError,
     ZeroTotalTimeError,
-    apfd,
-    apfd_bounds,
-    apfd_c,
-    apfd_c_bounds,
     atr,
     mean_median,
-    napfd,
     ntr,
-    rapfd,
-    rapfd_c,
     testing_time as compute_testing_time,
 )
 
@@ -44,35 +37,35 @@ class TestApfd:
     def test_hand_value_middle_faults(self):
         # n=4, failing tests end up at ranks 2 and 3
         record = cycle(0, ["a", "b", "c", "d"], failures=["b", "c"])
-        assert apfd(["a", "b", "c", "d"], record) == pytest.approx(0.5)
+        assert CycleView(record).score(["a", "b", "c", "d"]).apfd == pytest.approx(0.5)
 
     def test_single_test_suite(self):
         record = cycle(0, ["only"], failures=["only"])
-        assert apfd(["only"], record) == pytest.approx(0.5)
+        assert CycleView(record).score(["only"]).apfd == pytest.approx(0.5)
 
     def test_failing_tests_first(self):
         record = cycle(0, ["a", "b", "c", "d"], failures=["a", "b"])
-        assert apfd(["a", "b", "c", "d"], record) == pytest.approx(0.75)
+        assert CycleView(record).score(["a", "b", "c", "d"]).apfd == pytest.approx(0.75)
 
     def test_no_faults(self):
         record = cycle(0, ["a", "b"])
         with pytest.raises(NoFaultsError):
-            apfd(["a", "b"], record)
+            CycleView(record).score(["a", "b"]).apfd
 
     def test_requires_permutation(self):
         record = cycle(0, ["a", "b"], failures=["a"])
         with pytest.raises(ValueError):
-            apfd(["a"], record)
+            CycleView(record).score(["a"]).apfd
 
 
 class TestApfdC:
     def test_fault_first(self):
         record = cycle(0, ["f", "p"], failures=["f"], durations={"f": 2, "p": 2})
-        assert apfd_c(["f", "p"], record) == pytest.approx(0.75)
+        assert CycleView(record).score(["f", "p"]).apfd_c == pytest.approx(0.75)
 
     def test_fault_second(self):
         record = cycle(0, ["f", "p"], failures=["f"], durations={"f": 2, "p": 2})
-        assert apfd_c(["p", "f"], record) == pytest.approx(0.25)
+        assert CycleView(record).score(["p", "f"]).apfd_c == pytest.approx(0.25)
 
     def test_uniform_durations_reduce_to_apfd(self):
         rng = random.Random(1)
@@ -86,49 +79,49 @@ class TestApfdC:
             )
             order = list(uniform.suite)
             rng.shuffle(order)
-            assert apfd_c(order, uniform) == pytest.approx(
-                apfd(order, uniform), abs=1e-12
-            )
+            scored = CycleView(uniform).score(order)
+            assert scored.apfd_c == pytest.approx(scored.apfd, abs=1e-12)
 
     def test_zero_total_time(self):
         record = cycle(0, ["a", "b"], failures=["a"], durations={"a": 0, "b": 0})
         with pytest.raises(ZeroTotalTimeError):
-            apfd_c(["a", "b"], record)
+            CycleView(record).score(["a", "b"]).apfd_c
 
 
 class TestNapfd:
     def test_full_prefix_equals_apfd(self):
         record = cycle(0, ["a", "b", "c", "d"], failures=["b", "c"])
         order = ["a", "b", "c", "d"]
-        assert napfd(order, record, 4) == pytest.approx(apfd(order, record))
+        scored = CycleView(record).score(order)
+        assert scored.napfd(4) == pytest.approx(scored.apfd)
 
     def test_partial_prefix_hand_value(self):
         # n=4, m=2, prefix 2 detects only the fault at rank 1
         record = cycle(0, ["a", "b", "c", "d"], failures=["a", "d"])
-        assert napfd(["a", "b", "c", "d"], record, 2) == pytest.approx(0.4375)
+        assert CycleView(record).score(["a", "b", "c", "d"]).napfd(2) == pytest.approx(0.4375)
 
     def test_empty_prefix_is_zero(self):
         record = cycle(0, ["a", "b", "c"], failures=["a"])
-        assert napfd(["a", "b", "c"], record, 0) == 0.0
+        assert CycleView(record).score(["a", "b", "c"]).napfd(0) == 0.0
 
 
 class TestApfdBounds:
     def test_hand_values_single_fault(self):
         record = cycle(0, ["a", "b", "c"], failures=["a"])
-        low, high = apfd_bounds(record)
+        low, high = CycleView(record).apfd_bounds
         assert low == pytest.approx(1 / 6)
         assert high == pytest.approx(5 / 6)
 
     def test_all_fail_degenerate(self):
         record = cycle(0, ["a", "b"], failures=["a", "b"])
-        low, high = apfd_bounds(record)
+        low, high = CycleView(record).apfd_bounds
         assert low == pytest.approx(high)
 
     def test_matches_exhaustive_enumeration(self):
         rng = random.Random(2)
         for _ in range(40):
             record = random_failed_cycle(rng, max_n=6)
-            low, high = apfd_bounds(record)
+            low, high = CycleView(record).apfd_bounds
             exact_low, exact_high = exhaustive_extrema(record, apfd_of)
             assert low == pytest.approx(exact_low, abs=1e-9)
             assert high == pytest.approx(exact_high, abs=1e-9)
@@ -139,7 +132,7 @@ class TestApfdCBounds:
         rng = random.Random(3)
         for _ in range(40):
             record = random_failed_cycle(rng, max_n=6, all_fail_ok=True)
-            low, high = apfd_c_bounds(record)
+            low, high = CycleView(record).apfd_c_bounds
             exact_low, exact_high = exhaustive_extrema(record, apfd_c_of)
             assert low == pytest.approx(exact_low, abs=1e-9)
             assert high == pytest.approx(exact_high, abs=1e-9)
@@ -150,25 +143,25 @@ class TestRectified:
         record = cycle(
             0, ["a", "b", "c"], failures=["b"], durations={"a": 1, "b": 4, "c": 2}
         )
-        assert rapfd(["b", "a", "c"], record) == pytest.approx(1.0)
-        assert rapfd(["a", "c", "b"], record) == pytest.approx(0.0)
+        assert CycleView(record).score(["b", "a", "c"]).rapfd == pytest.approx(1.0)
+        assert CycleView(record).score(["a", "c", "b"]).rapfd == pytest.approx(0.0)
         # cost-aware optimum: failing first; passing order after is irrelevant
-        assert rapfd_c(["b", "a", "c"], record) == pytest.approx(1.0)
-        assert rapfd_c(["a", "c", "b"], record) == pytest.approx(0.0)
+        assert CycleView(record).score(["b", "a", "c"]).rapfd_c == pytest.approx(1.0)
+        assert CycleView(record).score(["a", "c", "b"]).rapfd_c == pytest.approx(0.0)
 
     def test_middle_fault_is_half(self):
         record = cycle(0, ["a", "b", "c"], failures=["b"])
-        assert rapfd(["a", "b", "c"], record) == pytest.approx(0.5)
+        assert CycleView(record).score(["a", "b", "c"]).rapfd == pytest.approx(0.5)
 
     def test_degenerate_all_fail(self):
         record = cycle(0, ["a", "b"], failures=["a", "b"])
         with pytest.raises(DegenerateBoundsError):
-            rapfd(["a", "b"], record)
+            CycleView(record).score(["a", "b"]).rapfd
 
     def test_degenerate_single_test(self):
         record = cycle(0, ["a"], failures=["a"])
         with pytest.raises(DegenerateBoundsError):
-            rapfd(["a"], record)
+            CycleView(record).score(["a"]).rapfd
 
     def test_non_finite_duration_raises_instead_of_clamping(self):
         # an infinite duration makes apfd_c NaN, which must not clamp to 0.0
@@ -176,7 +169,7 @@ class TestRectified:
             0, ["a", "b", "c"], failures=["b"], durations={"a": 1, "b": float("inf"), "c": 2}
         )
         with pytest.raises(ValueError, match="not finite"):
-            rapfd_c(["a", "b", "c"], record)
+            CycleView(record).score(["a", "b", "c"]).rapfd_c
 
     def test_values_stay_in_unit_interval(self):
         rng = random.Random(4)
@@ -184,8 +177,9 @@ class TestRectified:
             record = random_failed_cycle(rng)
             order = list(record.suite)
             rng.shuffle(order)
-            assert 0.0 <= rapfd(order, record) <= 1.0
-            assert 0.0 <= rapfd_c(order, record) <= 1.0
+            scored = CycleView(record).score(order)
+            assert 0.0 <= scored.rapfd <= 1.0
+            assert 0.0 <= scored.rapfd_c <= 1.0
 
 
 class TestNtr:
@@ -214,28 +208,28 @@ class TestNtr:
 
 class TestTestingTime:
     def test_prioritization_hidden_by_build(self):
-        assert compute_testing_time(CycleTiming(3, 5, 4, 9)) == pytest.approx(4.0)
+        assert compute_testing_time(3, 5, 4, 9) == pytest.approx(4.0)
 
     def test_overhead_plus_full_execution(self):
-        assert compute_testing_time(CycleTiming(7, 5, None, 10)) == pytest.approx(12.0)
+        assert compute_testing_time(7, 5, None, 10) == pytest.approx(12.0)
 
     def test_no_prioritization_baseline(self):
-        assert compute_testing_time(CycleTiming(0, 5, None, 10)) == pytest.approx(10.0)
+        assert compute_testing_time(0, 5, None, 10) == pytest.approx(10.0)
 
     def test_monotone_in_prioritization_time(self):
         previous = -1.0
         for pt in (0.0, 1.0, 4.9, 5.0, 5.1, 9.0):
-            value = compute_testing_time(CycleTiming(pt, 5, None, 10))
+            value = compute_testing_time(pt, 5, None, 10)
             assert value >= previous
             previous = value
 
     def test_independent_of_build_once_hidden(self):
         for bt in (3.0, 5.0, 100.0):
-            assert compute_testing_time(CycleTiming(3, bt, 2, 9)) == pytest.approx(2.0)
+            assert compute_testing_time(3, bt, 2, 9) == pytest.approx(2.0)
 
     def test_first_fault_capped_by_full(self):
         with pytest.raises(ValueError):
-            CycleTiming(0, 0, 11, 10)
+            compute_testing_time(0, 0, 11, 10)
 
 
 class TestAtr:

@@ -79,7 +79,7 @@ def test_every_entry_point_applies_the_one_rule(pair):
         assert (expected is not None) == rejects(permutation_oracle, order, view.position)
         calls["CycleView.score"] = (view.score, order)
         for name in ("apfd", "apfd_c", "rapfd", "rapfd_c"):
-            calls[name] = (getattr(metrics, name), order, record)
-        calls["napfd"] = (metrics.napfd, order, record, 0)
+            calls[name] = (lambda name: getattr(view.score(order), name), name)
+        calls["napfd"] = (lambda prefix: view.score(order).napfd(prefix), 0)
     for name, (function, *args) in calls.items():
         assert ranking_error(function, *args) == expected, name
