@@ -96,19 +96,20 @@ def metric_tables(summary: Mapping) -> list[MetricTable]:
             row = []
             for approach in approaches:
                 value = aggregates[project].get(approach, {}).get(key)
-                if not (value is None or type(value) in (int, float)):
-                    raise ReportError(f"{project}/{approach}: {key} is not a number: {value!r}")
-                # json.loads reads NaN, Infinity and -Infinity as floats
-                if type(value) is float and not math.isfinite(value):
-                    raise ReportError(f"{project}/{approach}: {key} is not finite: {value!r}")
-                # and a long integer literal as an int of any size
-                if type(value) is int:
+                if value is not None:
+                    if type(value) not in (int, float):
+                        raise ReportError(f"{project}/{approach}: {key} is not a number: {value!r}")
+                    # every later step sees floats only; json.loads reads a long
+                    # integer literal as an int of any size
                     try:
-                        float(value)
+                        value = float(value)
                     except OverflowError:
                         raise ReportError(
                             f"{project}/{approach}: {key} is too large for a float"
                         ) from None
+                    # and NaN, Infinity and -Infinity as floats
+                    if not math.isfinite(value):
+                        raise ReportError(f"{project}/{approach}: {key} is not finite: {value!r}")
                 row.append(value)
                 any_value = any_value or value is not None
             cells.append(tuple(row))

@@ -881,6 +881,20 @@ class TestReportCommand:
         argv = ["report", "--raw", str(raw), "--out", str(tmp_path / "r"), "--format", fmt]
         assert main(argv) == 0
 
+    @pytest.mark.parametrize("fmt", ["md", "csv"])
+    def test_integer_aggregates_are_read_as_floats(self, tmp_path, fmt):
+        # no float holds 10**17 + 1: kept as ints, every value of b lay above
+        # the whiskers of its float quartiles, and boxplot_rows failed
+        raw = self.summary_with(tmp_path, 10**17 + 1)
+        summary = json.loads((raw / "summary.json").read_text(encoding="utf-8"))
+        for project in summary["projects"].values():
+            project["approaches"]["b"]["aggregates"]["rapfd_c_mean"] = 10**17 + 1
+        (raw / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
+        argv = ["report", "--raw", str(raw), "--out", str(tmp_path / "r"), "--format", fmt]
+        assert main(argv) == 0
+        boxplot = (tmp_path / "r" / "boxplot_rapfd_c.csv").read_text(encoding="utf-8")
+        assert boxplot.splitlines()[2] == "b,3,1e+17,1e+17,1e+17,1e+17,1e+17,1e+17,"
+
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-1", "0", "1", "2"])
     def test_alpha_outside_open_unit_interval_exits_2(self, tmp_path, capsys, alpha):
         out = self.evaluated_dir(tmp_path)

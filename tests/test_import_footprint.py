@@ -17,7 +17,7 @@ import pytest
 from scipy.special import chdtrc
 
 from synth import random_history
-from test_stats import TEMME_RELATIVE_BOUND, in_temme_band
+from test_stats import tail_bound
 from tcp_lab.dataset import write_canonical
 from tcp_lab.report import TABLE_METRICS, _aggregate_key
 
@@ -95,9 +95,8 @@ def write_summary(raw: Path, n_approaches: int) -> None:
     (raw / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
 
 
-# From 42 approaches on (a chi-square with more than 40 degrees of freedom)
-# the Friedman p-value falls in Temme's regime, where scipy's chdtrc takes an
-# asymptotic expansion and stats._chdtrc its series or continued fraction.
+# 41 and 42 approaches straddle the 40 degrees of freedom where the stated
+# bound on the Friedman p-value widens (see test_stats.tail_bound).
 @pytest.mark.parametrize("n_approaches", [15, 41, 42, 120])
 def test_report_loads_neither_numpy_nor_scipy(tmp_path, n_approaches):
     write_summary(tmp_path / "raw", n_approaches)
@@ -116,7 +115,6 @@ def test_report_runs_where_scipy_cannot_be_imported(tmp_path):
     blocks = json.loads((tmp_path / "r" / "stats.json").read_text(encoding="utf-8"))
     points = [(119, block["friedman_statistic"], block["friedman_p"]) for block in blocks.values()]
     assert len(points) == len(TABLE_METRICS)
-    assert any(in_temme_band(df, x) for df, x, _ in points)
     for df, x, p in points:
         expected = float(chdtrc(df, x))
-        assert abs(p - expected) <= TEMME_RELATIVE_BOUND * expected
+        assert abs(p - expected) <= tail_bound(df, expected)

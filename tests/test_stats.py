@@ -6,7 +6,6 @@ import math
 import random
 
 import pytest
-import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -261,7 +260,7 @@ def friedman_with_old_ranks(matrix: ScoreMatrix) -> FriedmanResult:
     statistic = 12.0 * n / (k * (k + 1)) * sum(
         (rank - center) ** 2 for rank in mean_ranks
     )
-    return FriedmanResult(statistic, float(chdtrc(k - 1, statistic)), mean_ranks)
+    return FriedmanResult(statistic, stats._chdtrc(k - 1, statistic), mean_ranks)
 
 
 def wilcoxon_with_old_ranks(pairs) -> WilcoxonResult:
@@ -337,88 +336,44 @@ class TestCdGroupingInvariance:
 
 # --- the chi-square tail against scipy.special.chdtrc -----------------------
 
-# README's bound on the relative error of friedman_p in Temme's regime
-TEMME_RELATIVE_BOUND = 1e-13
 
+def tail_bound(df, expected):
+    """README's bound on |stats._chdtrc(df, x) - chdtrc(df, x)|, where chdtrc gives ``expected``.
 
-def in_temme_band(df, x):
-    """Whether cephes' igamc(df / 2, x / 2) takes Temme's expansion."""
-    a = df / 2
-    ratio = abs(x / 2 - a) / a
-    return (20 < a < 200 and ratio < 0.3) or (a > 200 and ratio < 4.5 / math.sqrt(a))
+    Below p = 1e-100 and at 40 degrees of freedom or fewer the bound widens to
+    5e-13: there both sides take one exp of a logarithm near ln p, and chdtrc
+    itself is up to 1.0e-13 off the exact tail (df = 1, x = 1279.88, against
+    mpmath at 60 digits).
+    """
+    if expected < 1e-300:
+        return 1e-300
+    if df > 40:
+        return 5e-12 * expected
+    return (1e-13 if expected >= 1e-100 else 5e-13) * expected
 
 
 @st.composite
 def chi_square_points(draw):
-    """(df, x) with x / 2 in one branch of ``igamc(a = df / 2, x / 2)``."""
-    # the branch boundaries at x / 2 of 0.5 and 1.1 matter most for small a
-    df = draw(st.one_of(st.integers(1, 4), st.integers(1, 1000)))
-    a = df / 2
-    branch = draw(st.sampled_from(["small", "middle", "below_a", "above_a", "log1pmx"]))
-    if branch == "small":  # the series in x or in a, by -0.4 / log(x) < a
-        half = draw(st.floats(0, 0.5, exclude_min=True))
-    elif branch == "middle":
-        half = draw(st.floats(0.5, 1.1, exclude_min=True))
-    elif branch == "below_a" and a > 1.2:  # igam's series
-        half = draw(st.floats(1.1, a, exclude_min=True, exclude_max=True))
-    elif branch == "log1pmx":  # Lanczos factor with x or a of 200 and more
-        df = draw(st.integers(400, 1000))
-        a = df / 2
-        ratio = draw(st.floats(4.5 / math.sqrt(a), 0.4))
-        half = a * (1 + draw(st.sampled_from([-1, 1])) * ratio)
-    else:  # the continued fraction
-        half = draw(st.floats(max(a, 1.1), 50 * a + 100, exclude_min=True))
-    return df, 2 * half
-
-
-@st.composite
-def temme_points(draw):
-    """(df, x) of a Friedman test over 42 to 5000 approaches in Temme's band."""
-    df = draw(st.one_of(st.integers(42, 401), st.integers(42, 5000))) - 1
-    a = df / 2
-    width = 0.3 if a < 200 else 4.5 / math.sqrt(a)
-    half = a * (1 + draw(st.floats(-width, width, exclude_min=True, exclude_max=True)))
-    return df, 2 * half
+    """(df, x) of a Friedman test over 2 to 2000 approaches, x from near 0 to 50 df + 100."""
+    df = draw(st.one_of(st.integers(1, 40), st.integers(1, 1999)))
+    x = draw(
+        st.one_of(
+            st.floats(0, 2 * df, exclude_min=True),  # where a Friedman statistic falls
+            st.floats(0, 50 * df + 100, exclude_min=True),
+        )
+    )
+    return df, x
 
 
 class TestChiSquareTail:
     @settings(max_examples=3000, deadline=None)
-    @given(chi_square_points().filter(lambda point: not in_temme_band(*point)))
-    def test_equals_scipy_bit_for_bit(self, point):
-        df, x = point
-        assert repr(stats._chdtrc(df, x)) == repr(float(chdtrc(df, x)))
-
-    @settings(max_examples=3000, deadline=None)
-    @given(temme_points().filter(lambda point: in_temme_band(*point)))
-    def test_temme_band_within_bound_of_scipy(self, point):
-        # scipy runs Temme's expansion here, _chdtrc its series or continued
-        # fraction
+    @given(chi_square_points())
+    def test_within_bound_of_scipy(self, point):
         df, x = point
         expected = float(chdtrc(df, x))
-        assert abs(stats._chdtrc(df, x) - expected) <= TEMME_RELATIVE_BOUND * expected
+        assert abs(stats._chdtrc(df, x) - expected) <= tail_bound(df, expected)
 
     @pytest.mark.parametrize("df", [1, 2, 41, 1000])
     @pytest.mark.parametrize("x", [0.0, 5e-324, 1e-300, 1e308])
     def test_edges_equal_scipy(self, df, x):
         assert repr(stats._chdtrc(df, x)) == repr(float(chdtrc(df, x)))
-
-    @settings(max_examples=1000, deadline=None)
-    @given(
-        st.one_of(
-            st.floats(0, 1, exclude_min=True),
-            st.floats(1, 13),
-            st.floats(13, 2000),
-            st.floats(2000, 1e9),
-        )
-    )
-    def test_lgam_equals_gammaln(self, x):
-        assert repr(stats._lgam(x)) == repr(float(scipy.special.gammaln(x)))
-
-    @settings(max_examples=1000, deadline=None)
-    @given(st.one_of(st.floats(-0.5, 0.5), st.floats(-700, 700)))
-    def test_expm1_equals_scipy(self, x):
-        assert repr(stats._expm1(x)) == repr(float(scipy.special.expm1(x)))
-
-    @pytest.mark.parametrize("n", range(2, 42))
-    def test_zeta_at_one_equals_scipy(self, n):
-        assert repr(stats._zeta1(n)) == repr(float(scipy.special.zeta(n, 1)))
