@@ -365,10 +365,31 @@ def chi_square_points(draw):
     return df, x
 
 
+@st.composite
+def temme_points(draw):
+    """(df, x) of a Friedman test over 42 to 2000 approaches in Temme's band.
+
+    scipy's igamc(df / 2, x / 2) takes Temme's expansion there, and the closed
+    form adds its most terms.
+    """
+    df = draw(st.one_of(st.integers(42, 401), st.integers(42, 2000))) - 1
+    a = df / 2
+    width = 0.3 if a < 200 else 4.5 / math.sqrt(a)
+    half = a * (1 + draw(st.floats(-width, width, exclude_min=True, exclude_max=True)))
+    return df, 2 * half
+
+
 class TestChiSquareTail:
     @settings(max_examples=3000, deadline=None)
     @given(chi_square_points())
     def test_within_bound_of_scipy(self, point):
+        df, x = point
+        expected = float(chdtrc(df, x))
+        assert abs(stats._chdtrc(df, x) - expected) <= tail_bound(df, expected)
+
+    @settings(max_examples=3000, deadline=None)
+    @given(temme_points())
+    def test_temme_band_within_bound_of_scipy(self, point):
         df, x = point
         expected = float(chdtrc(df, x))
         assert abs(stats._chdtrc(df, x) - expected) <= tail_bound(df, expected)
