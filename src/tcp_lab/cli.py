@@ -113,7 +113,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_prioritize(args: argparse.Namespace) -> int:
     from tcp_lab.combinators import build
-    from tcp_lab.dataset import attach_sources, read_canonical
+    from tcp_lab.dataset import attach_sources, filter_for_evaluation, read_canonical
 
     spec = args.preset if args.spec is None else read_json(args.spec)
     history = read_canonical(args.history)
@@ -128,7 +128,9 @@ def _cmd_prioritize(args: argparse.Namespace) -> int:
     approach = build(spec, sources=sources, master_seed=seed)
     if target is None:
         raise ConfigError(f"UNKNOWN_CYCLE: no cycle with index {args.cycle}")
-    for cycle in history.cycles[:target]:
+    # the earlier cycles that evaluate observes: not those it drops as too small
+    earlier = ProjectHistory(history.project, history.cycles[:target])
+    for cycle in filter_for_evaluation(earlier).cycles:
         approach.observe(cycle.executions)
     ranking = approach.rank(list(history.cycles[target].suite))
     for case in flatten(ranking, FlattenPolicy.STABLE):

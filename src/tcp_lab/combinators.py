@@ -58,12 +58,6 @@ from tcp_lab.model import (
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_SCHULZE_CAP = 1000
-
-
-class SuiteTooLargeError(InputError):
-    """Suite exceeds the configured cap for a cubic-time merging scheme."""
-
 
 class InvalidSpecError(InputError):
     """An approach spec tree cannot be built."""
@@ -187,11 +181,11 @@ def strongest_paths(d: Sequence[Sequence[float]]) -> np.ndarray:
     Floyd-Warshall-style relaxation over the preference matrix, one array
     update per pivot k. Row k and column k cannot change during pivot k, so
     the update equals the element-by-element loop. The diagonal is never
-    read and is returned as given.
+    read and is returned as given. The result keeps the input's dtype.
     """
     import numpy as np
 
-    p = np.array(d, dtype=np.float64).reshape(len(d), len(d))
+    p = np.array(d).reshape(len(d), len(d))
     diagonal = p.diagonal().copy()
     through = np.empty_like(p)
     for k in range(len(p)):
@@ -205,14 +199,18 @@ def schulze_mix(
     rankings: Sequence[RankedSuite],
     weights: Sequence[float],
     suite: Sequence[TestCaseId] | None = None,
-    max_suite: int = DEFAULT_SCHULZE_CAP,
 ) -> RankedSuite:
     """Merge rankings with the Schulze (strongest-path) method.
 
     x beats y iff the strongest path from x to y is stronger than the one
     from y to x; cases are ordered by descending count of beaten opponents,
-    equal counts tied. This satisfies the majority winner rule but costs
-    O(n^3), hence the suite-size cap.
+    equal counts tied. This satisfies the majority winner rule and costs
+    O(n^3).
+
+    Every path strength is one of the preference values, and min and max
+    commute with any strictly increasing map. So the relaxation runs on each
+    value's rank among the distinct values, in the smallest unsigned integer
+    type that holds them, and compares the same way as on the floats.
     """
     if not rankings:
         raise ValueError("at least one ranking required")
@@ -222,12 +220,11 @@ def schulze_mix(
     members = suite_set(suite)
     for ranking in rankings:
         check_cases(ranking.cases(), members)
+    import numpy as np
+
     n = len(suite)
-    if n > max_suite:
-        raise SuiteTooLargeError(
-            f"suite of {n} cases exceeds the Schulze cap of {max_suite}"
-        )
-    p = strongest_paths(pairwise_preferences(rankings, weights, suite))
+    values, codes = np.unique(pairwise_preferences(rankings, weights, suite), return_inverse=True)
+    p = strongest_paths(codes.reshape(n, n).astype(np.min_scalar_type(len(values))))
     beats = dict(zip(suite, (p > p.T).sum(axis=1).tolist()))
     return ranked_from_scores(suite, beats.__getitem__, descending=True)
 
@@ -368,19 +365,14 @@ class BordaMixedOrder(_MixedOrder):
 class SchulzeMixedOrder(_MixedOrder):
     """Mixer merging child rankings by the Schulze method."""
 
-    def __init__(
-        self,
-        children: Sequence[tuple[Approach, float]],
-        max_suite: int = DEFAULT_SCHULZE_CAP,
-    ):
+    def __init__(self, children: Sequence[tuple[Approach, float]]):
         import numpy  # noqa: F401  (loaded here, outside any timed rank)
 
         super().__init__(children)
-        self.max_suite = max_suite
 
     def rank(self, suite: Sequence[TestCaseId]) -> RankedSuite:
         rankings = [child.rank(suite) for child in self._ranked]
-        return schulze_mix(rankings, self._weights, suite=suite, max_suite=self.max_suite)
+        return schulze_mix(rankings, self._weights, suite=suite)
 
 
 class InterpolatedOrder(_Combined):
@@ -534,11 +526,7 @@ _NODE_TYPES = {
     ),
     "random_mix": _NodeType(RandomMixedOrder, slots=["children"], randomized=True),
     "borda_mix": _NodeType(BordaMixedOrder, slots=["children"]),
-    "schulze_mix": _NodeType(
-        SchulzeMixedOrder,
-        params=[("max_suite", _positive_int, DEFAULT_SCHULZE_CAP)],
-        slots=["children"],
-    ),
+    "schulze_mix": _NodeType(SchulzeMixedOrder, slots=["children"]),
     "interpolated": _NodeType(
         InterpolatedOrder,
         params=[

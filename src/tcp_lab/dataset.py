@@ -33,6 +33,10 @@ PARSE_ERROR = "PARSE_ERROR"
 EMPTY_HISTORY = "EMPTY_HISTORY"
 CHECKOUT_UNREADABLE = "CHECKOUT_UNREADABLE"
 
+# evaluate's default min_suite_size, and the one prioritize applies to the cycles
+# before its target
+DEFAULT_MIN_SUITE_SIZE = 6
+
 CANONICAL_HEADER = (
     "cycle",
     "job_id",
@@ -446,12 +450,13 @@ def attach_sources(
 
 
 def filter_for_evaluation(
-    history: ProjectHistory, min_suite_size: int = 6
+    history: ProjectHistory, min_suite_size: int = DEFAULT_MIN_SUITE_SIZE
 ) -> ProjectHistory:
     """Keep only cycles with at least ``min_suite_size`` test cases.
 
-    Cycle order and indices are preserved (no renumbering); the result may
-    be empty, in which case the metrics layer reports no data.
+    Approaches neither rank nor observe the cycles dropped here. Cycle order
+    and indices are preserved (no renumbering); the result may be empty, in
+    which case the metrics layer reports no data.
     """
     if min_suite_size < 1:
         raise ValueError("min_suite_size must be >= 1")

@@ -41,6 +41,7 @@ from tcp_lab import metrics as metrics_mod
 from tcp_lab.approaches import SourceVectors
 from tcp_lab.combinators import InvalidSpecError, build, spec_is_randomized
 from tcp_lab.dataset import (
+    DEFAULT_MIN_SUITE_SIZE,
     PARSE_ERROR,
     DatasetError,
     attach_sources,
@@ -97,7 +98,7 @@ class EvaluationConfig:
     approaches: dict[str, Mapping | str]
     seed: int = 0
     repetitions: int = DEFAULT_REPETITIONS
-    min_suite_size: int = 6
+    min_suite_size: int = DEFAULT_MIN_SUITE_SIZE
     tie_policy: FlattenPolicy = FlattenPolicy.RANDOM
     metric_names: tuple[str, ...] = ALL_METRICS
 
@@ -158,7 +159,7 @@ class EvaluationConfig:
         repetitions = raw.get("repetitions", DEFAULT_REPETITIONS)
         if type(repetitions) is not int or repetitions < 1:
             raise ConfigError("repetitions must be a positive integer")
-        min_suite = raw.get("min_suite_size", 6)
+        min_suite = raw.get("min_suite_size", DEFAULT_MIN_SUITE_SIZE)
         if type(min_suite) is not int or min_suite < 1:
             raise ConfigError("min_suite_size must be a positive integer")
         seed = raw.get("seed", 0)

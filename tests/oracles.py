@@ -43,7 +43,6 @@ from tcp_lab.approaches import (
     tokenize,
 )
 from tcp_lab.combinators import (
-    DEFAULT_SCHULZE_CAP,
     PRESETS,
     BordaMixedOrder,
     CodeDistBrokenOrder,
@@ -888,7 +887,7 @@ _ORACLE_ALLOWED_KEYS = {
     "code_dist": {"metric", "start"},
     "random_mix": {"children", "seed"},
     "borda_mix": {"children"},
-    "schulze_mix": {"children", "max_suite"},
+    "schulze_mix": {"children"},
     "interpolated": {"before", "after", "cutoff", "count_mode"},
     "break_ties": {"primary", "secondary"},
     "break_ties_codedist": {"primary", "metric"},
@@ -1014,10 +1013,7 @@ def build_oracle(
         if kind == "borda_mix":
             return BordaMixedOrder(_oracle_build_children(node, construct))
         if kind == "schulze_mix":
-            cap = node.get("max_suite", DEFAULT_SCHULZE_CAP)
-            if not isinstance(cap, int) or cap < 1:
-                raise InvalidSpecError(f"max_suite must be a positive integer, got {cap!r}")
-            return SchulzeMixedOrder(_oracle_build_children(node, construct), max_suite=cap)
+            return SchulzeMixedOrder(_oracle_build_children(node, construct))
         if kind == "interpolated":
             for key in ("before", "after", "cutoff"):
                 if key not in node:

@@ -2,23 +2,33 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import math
 import random
 import statistics
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synth import cycle, example_sources, random_history
+from synth import cycle, example_sources, random_history, shipped_approach_specs
 from tcp_lab import evaluation
 from tcp_lab.cli import main
-from tcp_lab.combinators import build
-from tcp_lab.dataset import attach_sources, read_canonical, write_canonical
+from tcp_lab.combinators import build, spec_is_randomized
+from tcp_lab.dataset import (
+    DEFAULT_MIN_SUITE_SIZE,
+    attach_sources,
+    filter_for_evaluation,
+    read_canonical,
+    write_canonical,
+)
 from tcp_lab.model import Approach, FlattenPolicy, ProjectHistory, RankedSuite, flatten
 from tcp_lab.report import (
     MetricTable,
@@ -979,12 +989,12 @@ class TestReportRendering:
 
 
 class TestPrioritizeCommand:
-    def history_path(self, tmp_path):
+    def history_path(self, tmp_path, cases=("a", "b", "c")):
         history = ProjectHistory(
             "p",
             (
-                cycle(0, ["a", "b", "c"], failures=["b"], durations={"a": 1, "b": 2, "c": 3}),
-                cycle(1, ["a", "b", "c"], durations={"a": 1, "b": 2, "c": 3}),
+                cycle(0, cases, failures=["b"], durations={"a": 1, "b": 2, "c": 3}),
+                cycle(1, cases, durations={"a": 1, "b": 2, "c": 3}),
             ),
         )
         path = tmp_path / "h.csv"
@@ -1013,12 +1023,13 @@ class TestPrioritizeCommand:
         assert capsys.readouterr().out.splitlines() == ["a", "b", "c"]
 
     def test_fold_fails_puts_failed_case_first(self, tmp_path, capsys):
+        # six cases: evaluate, and so prioritize, observes no smaller cycle
         spec = self.spec_file(tmp_path, {"type": "fold_fails", "folder": "sum"})
         code = main(
             [
                 "prioritize",
                 "--history",
-                str(self.history_path(tmp_path)),
+                str(self.history_path(tmp_path, cases="abcdef")),
                 "--spec",
                 str(spec),
                 "--cycle",
@@ -1070,16 +1081,6 @@ class TestPrioritizeCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
-
-    def test_suite_over_schulze_cap_exits_2(self, tmp_path, capsys):
-        spec = (
-            '{"type": "schulze_mix", "max_suite": 2,'
-            ' "children": [{"weight": 1, "spec": {"type": "exe_time"}}]}'
-        )
-        assert self.prioritize(tmp_path, spec) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: suite of 3 cases exceeds the Schulze cap of 2\n"
 
     def test_source_too_large_for_exact_distances_exits_2(self, tmp_path, capsys, monkeypatch):
         # a 5000-token source over a bound of 1000 stands in for one over 2**51
@@ -1150,12 +1151,64 @@ class TestPrioritizeCommand:
         assert any(set(record.suite) < set(every_source) for record in history.cycles)
         for target, record in enumerate(history.cycles):
             approach = build(spec, sources=every_source, master_seed=0)
-            for previous in history.cycles[:target]:
+            earlier = ProjectHistory(history.project, history.cycles[:target])
+            for previous in filter_for_evaluation(earlier).cycles:
                 approach.observe(previous.executions)
             ranking = approach.rank(list(record.suite))
             expected = "".join(f"{case}\n" for case in flatten(ranking, FlattenPolicy.STABLE))
             assert main(argv + ["--cycle", str(record.index)]) == 0
             assert capsys.readouterr() == (expected, "")
+
+    def test_small_earlier_cycle_is_not_observed(self, tmp_path, capsys):
+        # evaluate drops the 3-case cycle before any approach sees it
+        history = ProjectHistory(
+            "p",
+            (
+                cycle(1, ["f", "g", "h"], failures=["h"], durations={"f": 9, "g": 9}),
+                cycle(2, "abcdefgh"),
+            ),
+        )
+        path = tmp_path / "h.csv"
+        write_canonical(history, path)
+        argv = ["prioritize", "--history", str(path), "--preset", "P3.1", "--cycle", "2"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.split() == list("abcdefgh")
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32), n_cycles=st.integers(2, 7))
+    def test_matches_the_evaluate_replay(self, seed, n_cycles):
+        # every deterministic shipped spec, over histories with cycles below
+        # min_suite_size; a small target cycle is ranked all the same
+        history = random_history(random.Random(seed), n_cycles=n_cycles, pool_size=9)
+        specs = {
+            name: spec
+            for name, spec in shipped_approach_specs().items()
+            if not spec_is_randomized(spec)
+        }
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "h.csv"
+            write_canonical(history, path)
+            checkout = Path(scratch) / "checkout"
+            checkout.mkdir()
+            for case, text in example_sources(f"t{i:02d}" for i in range(0, 9, 2)).items():
+                (checkout / f"{case}.java").write_text(text, encoding="utf-8")
+            project = evaluation.ProjectConfig("synthetic", path, checkout)
+            kept = evaluation.load_project_history(project, DEFAULT_MIN_SUITE_SIZE)
+            for name, spec in specs.items():
+                spec_path = Path(scratch) / f"{name}.json"
+                spec_path.write_text(json.dumps(spec), encoding="utf-8")
+                for record in history.cycles:
+                    earlier = tuple(c for c in kept.cycles if c.index < record.index)
+                    replayed = ProjectHistory(kept.project, (*earlier, record), kept.sources)
+                    approach = build(spec, sources=kept.sources, master_seed=0)
+                    *_, (_, ranking, _) = evaluation.replay(approach, replayed)
+                    argv = ["prioritize", "--history", str(path), "--spec", str(spec_path)]
+                    argv += ["--sources", str(checkout), "--cycle", str(record.index)]
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out):
+                        assert main(argv) == 0
+                    expected = flatten(ranking, FlattenPolicy.STABLE)
+                    assert out.getvalue().split() == list(expected), (name, record.index)
 
     def test_unknown_preset_exits_2(self, tmp_path, capsys):
         code = main(

@@ -28,7 +28,6 @@ from tcp_lab.combinators import (
     InvalidSpecError,
     RandomMixedOrder,
     SchulzeMixedOrder,
-    SuiteTooLargeError,
     borda_mix,
     break_ties,
     break_ties_codedist,
@@ -157,10 +156,11 @@ class TestSchulzeMix:
                         widest_path_oracle(d, x, y), abs=1e-12
                     )
 
-    def test_suite_too_large(self):
-        suite = [f"t{i}" for i in range(6)]
-        with pytest.raises(SuiteTooLargeError):
-            schulze_mix([singletons(*suite)], [1], max_suite=5)
+    def test_suite_over_the_old_cap_is_ranked(self):
+        # 1001 cases were once a SuiteTooLargeError; one child comes back as it is
+        suite = [f"t{i}" for i in range(1001)]
+        ranking = RankedSuite(tuple(tuple(suite[i : i + 3]) for i in range(0, 1001, 3)))
+        assert schulze_mix([ranking], [1], suite=suite) == ranking
 
     def test_single_ranking_with_ties_preserved(self):
         ranking = RankedSuite((("a", "b"), ("c",)))
@@ -507,7 +507,7 @@ PINNED_MESSAGES = [
     ({"type": "random_order", "seed": "abc"}, "seed must be an integer, got 'abc'"),
     (
         {"type": "schulze_mix", "children": ONE_CHILD, "max_suite": 0},
-        "max_suite must be a positive integer, got 0",
+        "unexpected keys ['max_suite'] for type 'schulze_mix'",
     ),
     (
         {"type": "borda_mix", "children": [{"weight": 0, "spec": BASE}]},
@@ -557,7 +557,7 @@ NEW_REJECTIONS = [
     ),
     (
         {"type": "schulze_mix", "children": ONE_CHILD, "max_suite": True},
-        "max_suite must be a positive integer, got True",
+        "unexpected keys ['max_suite'] for type 'schulze_mix'",
     ),
     (
         {"type": "fail_density", "alpha_fail": 2**1024},

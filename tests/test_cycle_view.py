@@ -21,7 +21,6 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import chdtrc
 
 from oracles import (
     METRIC_ORACLES,
@@ -463,9 +462,3 @@ def test_friedman_p_value_is_the_chi_square_tail(k):
         result = friedman(matrix)
         expected = float(scipy.stats.chi2.sf(result.statistic, k - 1))
         assert abs(result.p_value - expected) <= tail_bound(k - 1, expected)
-
-
-def test_chi_square_tail_on_a_grid():
-    for df in range(1, 31):
-        for x in [0.0, 1e-6, 0.01, 0.5, 1.0, 2.5, 7.0, 15.0, 40.0, 120.0, 1e3]:
-            assert float(chdtrc(df, x)) == float(scipy.stats.chi2.sf(x, df))

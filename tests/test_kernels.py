@@ -13,7 +13,7 @@ import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -224,6 +224,19 @@ class TestSchulze:
         assert np.array_equal(
             strongest_paths(d), np.array(expected_p, dtype=np.float64).reshape(n, n)
         )
+        out = schulze_mix(rankings, weights, suite=suite)
+        assert out == schulze_mix_oracle(rankings, weights, suite)
+
+    # no shrinking: a smaller input seldom keeps more than 256 distinct values
+    @settings(max_examples=30, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(st.data(), st.integers(26, 30))
+    def test_more_than_255_preference_values(self, data, n):
+        # children weighted 2**0 .. 2**8 make each preference the sum of its own
+        # subset of them: hundreds of distinct values, whose ranks need 16 bits
+        suite = [f"t{i}" for i in range(n)]
+        rankings = [data.draw(tie_rankings(suite)) for _ in range(9)]
+        weights = [2.0**i for i in range(9)]
+        assume(len(np.unique(pairwise_preferences(rankings, weights, suite))) > 256)
         out = schulze_mix(rankings, weights, suite=suite)
         assert out == schulze_mix_oracle(rankings, weights, suite)
 

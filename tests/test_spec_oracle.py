@@ -56,7 +56,7 @@ LEAF_PARAMS = {
 MIXERS = {
     "random_mix": {"seed": SEEDS},
     "borda_mix": {},
-    "schulze_mix": {"max_suite": st.integers(6, 2000)},
+    "schulze_mix": {},
 }
 COMBINATORS = sorted(MIXERS) + ["interpolated", "break_ties", "break_ties_codedist"]
 
@@ -67,7 +67,6 @@ BAD_PARAMS = {
     "alpha": ["high", None, True, 0, 1.5, -0.2],
     "metric": ["chebyshev", None, 2],
     "start": ["middle", None],
-    "max_suite": [0, -3, "big", 1.5, None],
     "cutoff": [0, -1, "x", None, 2.5],
     "count_mode": ["weekly", None, 3],
 }

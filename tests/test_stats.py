@@ -394,6 +394,12 @@ class TestChiSquareTail:
         expected = float(chdtrc(df, x))
         assert abs(stats._chdtrc(df, x) - expected) <= tail_bound(df, expected)
 
+    def test_on_a_grid(self):
+        for df in range(1, 31):
+            for x in [0.0, 1e-6, 0.01, 0.5, 1.0, 2.5, 7.0, 15.0, 40.0, 120.0, 1e3]:
+                expected = float(chdtrc(df, x))
+                assert abs(stats._chdtrc(df, x) - expected) <= tail_bound(df, expected)
+
     @pytest.mark.parametrize("df", [1, 2, 41, 1000])
     @pytest.mark.parametrize("x", [0.0, 5e-324, 1e-300, 1e308])
     def test_edges_equal_scipy(self, df, x):
